@@ -1032,9 +1032,10 @@ def campaign_job_key(
 
     ``backend`` is excluded (both kernel backends produce the identical
     pool, hence the identical search). Everything else — including the
-    SPRT error bounds and the chunk schedule — is key material: a cell
-    probed under looser bounds is a different statistical artifact, and
-    the chunk bounds govern which pool prefix each probe could have seen.
+    SPRT error bounds and ``max_chunk`` — is key material: a cell probed
+    under looser bounds is a different statistical artifact, and
+    ``max_chunk`` sets how far the pool overshoots the longest probe
+    (the record's ``seeds_spent``).
     The scenario digest pins the compiled corpus payload, so a corpus
     edit re-executes instead of answering from stale entries.
     """

@@ -41,7 +41,6 @@ from repro.security.kernels import (
 )
 from repro.security.campaign import (
     CampaignJob,
-    ChunkSchedule,
     SprtConfig,
     oracle_campaign_cell,
     run_campaign_cell,
@@ -60,7 +59,6 @@ from repro.security.thresholds import (
 __all__ = [
     "BlastPolicySpec",
     "CampaignJob",
-    "ChunkSchedule",
     "CipherRowRemapper",
     "FractalPolicySpec",
     "GrapheneSpec",

@@ -25,10 +25,12 @@ Three ideas make the search cheap:
 * **One shared seed pool per cell.** A seed's replay pressure does not
   depend on the probed threshold, so every probe walks the *same* pool of
   per-seed max pressures (seed 0, 1, 2, ... in order) and the pool only
-  grows when a probe runs past its frontier — in adaptive chunks sized by
-  how far the current likelihood ratio sits from the nearest decision
-  bound (small near the boundary, large far from it). ``seeds_spent`` for
-  the whole cell is the pool size, not the per-probe sum.
+  grows when a probe runs past its frontier — by ``max_chunk`` seeds (up
+  to ``max_seeds``) in one batched replay. A replay's cost is set by its
+  ACT steps, each paying a fixed dispatch overhead, far more than by its
+  seed count, so one wide extension is cheaper than several narrow ones.
+  ``seeds_spent`` for the whole cell is the pool size, not the per-probe
+  sum.
 * **Replay-invariant reuse.** The cell compiles its pattern once, builds
   the batch engine (and the cipher's ``encrypt_array`` table) once, and
   replays chunks through :meth:`_BatchEngine.run_prepared` with a
@@ -36,10 +38,11 @@ Three ideas make the search cheap:
 
 Determinism and resume: the pool's contents are a pure function of the
 job description (seed ``s`` always produces the same pressure), and every
-probe decision depends only on a prefix of the pool, so chunk sizing,
-restarts, and partial frontiers can never change a verdict. A cell given
-a result cache persists its frontier (the evaluated pool) after every
-extension; a killed campaign reloads it and continues mid-bisection.
+probe decision depends only on a prefix of the pool, so the extension
+width, restarts, and partial frontiers can never change a verdict. A cell
+given a result cache persists its frontier (the evaluated pool) after
+every extension; a killed campaign reloads it and continues
+mid-bisection.
 
 See ``docs/threshold_campaign.md`` for the full algorithm and error-bound
 discussion.
@@ -60,9 +63,9 @@ __all__ = [
     "UNSAFE",
     "CampaignJob",
     "CellEngine",
-    "ChunkSchedule",
     "ProbeResult",
     "SprtConfig",
+    "UndecidedProbe",
     "frontier_path",
     "load_frontier",
     "oracle_campaign_cell",
@@ -85,7 +88,8 @@ DEFAULT_BETA = 1e-3
 DEFAULT_P0 = 0.01
 DEFAULT_P1 = 0.10
 
-DEFAULT_MIN_CHUNK = 8
+#: Seeds per pool extension, i.e. per kernel call; it also bounds the
+#: pressure arena at ``max_chunk x rows_per_bank``.
 DEFAULT_MAX_CHUNK = 256
 
 #: Hard ceiling for the exponential search (pressure is bounded by
@@ -168,36 +172,6 @@ class SprtConfig:
 
 
 @dataclass(frozen=True)
-class ChunkSchedule:
-    """Adaptive pool-extension sizing.
-
-    The next chunk covers the *minimum* number of seeds that could
-    possibly finish the running probe (all-break steps to the upper bound
-    or all-survive steps to the lower bound, whichever is nearer),
-    clamped to ``[min_chunk, max_chunk]`` — small chunks near a decision
-    boundary, large chunks when the verdict is still far off.
-    """
-
-    min_chunk: int = DEFAULT_MIN_CHUNK
-    max_chunk: int = DEFAULT_MAX_CHUNK
-
-    def __post_init__(self):
-        if self.min_chunk < 1 or self.max_chunk < self.min_chunk:
-            raise ValueError(
-                f"need 1 <= min_chunk <= max_chunk, got "
-                f"{self.min_chunk}/{self.max_chunk}"
-            )
-
-    def next_chunk(self, llr: float, cfg: SprtConfig) -> int:
-        """Seeds to evaluate next: the pure-drift distance to the
-        nearer Wald bound, clamped to ``[min_chunk, max_chunk]``."""
-        to_unsafe = math.ceil((cfg.upper_bound - llr) / cfg.step_break)
-        to_safe = math.ceil((llr - cfg.lower_bound) / -cfg.step_survive)
-        nearest = max(1, min(to_unsafe, to_safe))
-        return max(self.min_chunk, min(self.max_chunk, nearest))
-
-
-@dataclass(frozen=True)
 class ProbeResult:
     """One threshold probe's outcome."""
 
@@ -215,15 +189,19 @@ class ProbeResult:
         return dataclasses.asdict(self)
 
 
+class UndecidedProbe(ValueError):
+    """The indicators ran out before a Wald bound or the seed budget."""
+
+
 def sprt_probe(
     exceed: Sequence[bool], cfg: SprtConfig, max_seeds: int,
     threshold: int = 0,
 ) -> ProbeResult:
     """Walk exceedance indicators in order until a bound is crossed.
 
-    Pure decision rule over a fully materialized sequence — the
-    :class:`CellEngine` inlines the same walk against its growing pool;
-    tests pin this function against exact binomial probabilities.
+    The one probe decision rule: :class:`CellEngine` calls it over its
+    pool and grows the pool when it raises :class:`UndecidedProbe`;
+    tests pin it against exact binomial probabilities.
     """
     exceedances = 0
     for n, broke in enumerate(exceed[:max_seeds], start=1):
@@ -234,7 +212,7 @@ def sprt_probe(
             return ProbeResult(threshold, verdict, n, exceedances, "sprt")
     n = min(len(exceed), max_seeds)
     if n < max_seeds:
-        raise ValueError(
+        raise UndecidedProbe(
             f"undecided after {n} indicators; need up to {max_seeds}"
         )
     return ProbeResult(
@@ -291,9 +269,10 @@ class CampaignJob:
 
     Mirrors :class:`repro.analysis.runner.SecurityJob`: describes *what*
     to search, not how. ``backend`` is excluded from the cache key (both
-    kernel backends produce exactly equal pressures). The SPRT and
-    chunk-schedule parameters **are** key material — a cell probed under
-    different error bounds is a different artifact.
+    kernel backends produce exactly equal pressures). The SPRT parameters
+    and ``max_chunk`` **are** key material — a cell probed under
+    different error bounds is a different artifact, and ``max_chunk``
+    sets the ``seeds_spent`` its record reports.
 
     With no ``scenario``, the pattern is ``attack`` over ``rows`` (or,
     for the default ``round_robin`` with empty ``rows``, the
@@ -325,7 +304,6 @@ class CampaignJob:
     beta: float = DEFAULT_BETA
     p0: float = DEFAULT_P0
     p1: float = DEFAULT_P1
-    min_chunk: int = DEFAULT_MIN_CHUNK
     max_chunk: int = DEFAULT_MAX_CHUNK
     backend: str = "numpy"  # repro: key-blind[backend]
 
@@ -397,18 +375,15 @@ class CampaignJob:
             raise ValueError("acts must cover at least one window")
         if self.max_seeds < 2:
             raise ValueError("max_seeds must be >= 2")
+        if self.max_chunk < 1:
+            raise ValueError("max_chunk must be >= 1")
         # Validate the statistical contract eagerly (same errors a probe
         # would raise, but at construction time).
         self.sprt_config()
-        self.chunk_schedule()
 
     def sprt_config(self) -> SprtConfig:
         """The probe decision rule this job pins."""
         return SprtConfig(self.alpha, self.beta, self.p0, self.p1)
-
-    def chunk_schedule(self) -> ChunkSchedule:
-        """The pool-growth schedule this job pins."""
-        return ChunkSchedule(self.min_chunk, self.max_chunk)
 
     def pattern_rows(self) -> List[int]:
         """Compile/generate this cell's logical row stream."""
@@ -510,7 +485,6 @@ class CellEngine:
     ):
         self.job = job
         self.cfg = job.sprt_config()
-        self.chunks = job.chunk_schedule()
         self.cache_dir = cache_dir
         self.key = key
         #: Per-seed max pressures for seeds ``0..len(pool)-1``.
@@ -603,27 +577,15 @@ class CellEngine:
     # ------------------------------------------------------------------
     def probe(self, threshold: int) -> ProbeResult:
         """SPRT probe at ``threshold`` over the shared pool, extending it
-        in adaptive chunks only when the walk runs past the frontier."""
-        cfg = self.cfg
-        max_seeds = self.job.max_seeds
-        exceedances = 0
-        n = 0
-        while n < max_seeds:
-            if n == len(self.pool):
-                llr = cfg.llr(exceedances, n)
-                self.ensure_seeds(n + self.chunks.next_chunk(llr, cfg))
-            if self.pool[n] >= threshold:
-                exceedances += 1
-            n += 1
-            verdict = cfg.decide(exceedances, n)
-            if verdict is not None:
-                return ProbeResult(
-                    threshold, verdict, n, exceedances, "sprt"
+        by ``max_chunk`` seeds whenever the walk runs past the frontier."""
+        while True:
+            exceed = [p >= threshold for p in self.pool]
+            try:
+                return sprt_probe(
+                    exceed, self.cfg, self.job.max_seeds, threshold
                 )
-        return ProbeResult(
-            threshold, cfg.budget_verdict(exceedances, n), n, exceedances,
-            "budget",
-        )
+            except UndecidedProbe:
+                self.ensure_seeds(len(self.pool) + self.job.max_chunk)
 
     def run(self) -> dict:
         """Bisect to the tolerated threshold; returns the cell's result

@@ -62,9 +62,15 @@ class JobRecord:
     #: Completion signal (set by the scheduler's event loop). Typed as
     #: object so this module stays importable without asyncio running.
     event: Optional[object] = None
+    #: The queue that counts this record while it is queued.
+    queue: Optional["SweepQueue"] = field(
+        default=None, repr=False, compare=False
+    )
 
     def transition(self, state: str) -> None:
         """Move to ``state``, recording it in the history."""
+        if self.queue is not None:
+            self.queue._recount(self.state, state)
         self.state = state
         self.history.append(state)
 
@@ -96,11 +102,15 @@ class SweepQueue:
     (cancellation is lazy: the heap entry stays, the record's state is
     the truth). ``requeue`` re-heaps a record under its *original*
     sequence number.
+
+    Every record it accepts reports its transitions back, so the queue
+    keeps a running count of queued records instead of scanning them.
     """
 
     def __init__(self) -> None:
         self._heap: List[tuple] = []
         self._next_seq = 0
+        self._queued = 0
         self.records: Dict[str, JobRecord] = {}
 
     # ------------------------------------------------------------------
@@ -116,7 +126,9 @@ class SweepQueue:
             key=key,
             priority=priority,
             seq=seq,
+            queue=self,
         )
+        self._queued += 1
         self.records[record.job_id] = record
         heapq.heappush(self._heap, (-priority, seq, record.job_id))
         return record
@@ -140,8 +152,12 @@ class SweepQueue:
         return None
 
     def depth(self) -> int:
-        """How many records are currently in the queued state."""
-        return sum(1 for r in self.records.values() if r.state == QUEUED)
+        """How many records are currently in the queued state (O(1))."""
+        return self._queued
+
+    def _recount(self, old: str, new: str) -> None:
+        """Keep the queued count across one record transition."""
+        self._queued += (new == QUEUED) - (old == QUEUED)
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         """Record lookup by id."""

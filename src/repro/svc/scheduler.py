@@ -205,9 +205,8 @@ class SweepService:
         finally:
             self._server.close()
             await self._server.wait_closed()
-            for handle in list(self._slots.values()):
-                handle.kill()
-            self._slots.clear()
+            for slot in list(self._slots):
+                self._release(slot).kill()
             try:
                 os.unlink(self.socket_path)
             except OSError:
@@ -306,11 +305,22 @@ class SweepService:
             clock=self.clock,
         )
         self._slots[slot] = handle
+        # The sentinel turns readable when the worker exits: wake the
+        # scheduler then, not on the next poll tick.
+        assert self._loop is not None and self._wake is not None
+        self._loop.add_reader(handle.sentinel, self._wake.set)
         record.attempts += 1
         record.worker_slot = slot
         record.worker_pid = handle.pid
         record.transition(RUNNING)
         self._inflight[record.key] = record.job_id
+
+    def _release(self, slot: int) -> WorkerHandle:
+        """Free ``slot`` and stop watching its worker's exit."""
+        handle = self._slots.pop(slot)
+        assert self._loop is not None
+        self._loop.remove_reader(handle.sentinel)
+        return handle
 
     def _reap_workers(self) -> None:
         """Harvest finished workers; recycle dead or silent ones."""
@@ -319,12 +329,10 @@ class SweepService:
             assert record is not None
             if handle.alive():
                 if handle.heartbeat_age() > self.heartbeat_timeout:
-                    handle.kill()
-                    del self._slots[slot]
+                    self._release(slot).kill()
                     self._crashed(record, "heartbeat timeout")
                 continue
-            handle.reap()
-            del self._slots[slot]
+            self._release(slot).reap()
             if record.state == CANCELLED:
                 continue  # cancel() already killed and accounted for it
             if handle.exitcode == 0:
@@ -552,10 +560,8 @@ class SweepService:
             if record.event is not None:
                 record.event.set()
         elif record.state == RUNNING:
-            if record.worker_slot is not None:
-                handle = self._slots.pop(record.worker_slot, None)
-                if handle is not None:
-                    handle.kill()
+            if record.worker_slot in self._slots:
+                self._release(record.worker_slot).kill()
             self._inflight.pop(record.key, None)
             record.transition(CANCELLED)
             self._m_cancelled.inc()

@@ -131,6 +131,11 @@ class WorkerHandle:
     def pid(self) -> Optional[int]:
         return self.process.pid
 
+    @property
+    def sentinel(self) -> int:
+        """A file descriptor that becomes readable when the worker exits."""
+        return self.process.sentinel
+
     def alive(self) -> bool:
         """Whether the worker process is still running."""
         return self.process.is_alive()

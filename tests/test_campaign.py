@@ -17,18 +17,22 @@ from hypothesis import strategies as st
 
 from repro.analysis.runner import (
     ExperimentRunner,
+    Job,
+    SecurityJob,
     any_job_from_wire,
     campaign_job_from_wire,
     campaign_job_key,
     campaign_job_to_wire,
+    job_key,
+    security_job_key,
 )
 from repro.security.campaign import (
     SAFE,
     UNSAFE,
     CampaignJob,
     CellEngine,
-    ChunkSchedule,
     SprtConfig,
+    UndecidedProbe,
     load_frontier,
     oracle_campaign_cell,
     run_campaign_cell,
@@ -37,6 +41,8 @@ from repro.security.campaign import (
     sprt_probe,
     summarize_campaign,
 )
+from repro.security.kernels import _BatchEngine
+from repro.sim.config import SystemConfig
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -166,7 +172,7 @@ class TestSprtProbe:
             assert result.seeds_used == 40
 
     def test_undecided_short_sequence_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UndecidedProbe):
             sprt_probe([False] * 10, SprtConfig(), 100)
 
     def test_decision_depends_only_on_prefix(self):
@@ -177,33 +183,6 @@ class TestSprtProbe:
         for tail in ([], [False] * 50, [True] * 50):
             result = sprt_probe(head + tail, cfg, 200)
             assert (result.verdict, result.seeds_used) == (UNSAFE, 3)
-
-
-# ----------------------------------------------------------------------
-# Chunk schedule
-# ----------------------------------------------------------------------
-class TestChunkSchedule:
-    def test_clamps(self):
-        cfg = SprtConfig()
-        schedule = ChunkSchedule(min_chunk=8, max_chunk=64)
-        # At llr = 0 the nearest bound is ~73 survive-steps or 3
-        # break-steps away: the minimum is 3, clamped up to 8.
-        assert schedule.next_chunk(0.0, cfg) == 8
-        # Just below the upper bound: 1 step could decide.
-        assert schedule.next_chunk(cfg.upper_bound - 0.01, cfg) == 8
-        # Unclamped, the drift distance itself comes through: at llr = 0
-        # the break side needs ceil(6.9 / log(10)) = 3 steps.
-        wide = ChunkSchedule(min_chunk=1, max_chunk=50)
-        assert wide.next_chunk(0.0, cfg) == 3
-        # With a narrow (p0, p1) gap the per-seed steps shrink and the
-        # schedule grows chunks to match: log(0.5/0.4) per break means
-        # ceil(6.9 / 0.223) = 31 seeds to the nearest bound.
-        slow = SprtConfig(p0=0.4, p1=0.5)
-        assert ChunkSchedule(1, 100).next_chunk(0.0, slow) == 31
-        with pytest.raises(ValueError):
-            ChunkSchedule(min_chunk=0)
-        with pytest.raises(ValueError):
-            ChunkSchedule(min_chunk=10, max_chunk=5)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +288,7 @@ class TestCampaignJob:
         with pytest.raises(ValueError):
             CampaignJob(p0=0.5, p1=0.1)
         with pytest.raises(ValueError):
-            CampaignJob(min_chunk=0)
+            CampaignJob(max_chunk=0)
         with pytest.raises(ValueError):
             CampaignJob(tracker="nope")
 
@@ -333,6 +312,15 @@ class TestCampaignJob:
         with pytest.raises(ValueError, match="surprise"):
             campaign_job_from_wire(wire)
 
+    def test_wire_rejects_dropped_min_chunk(self):
+        """``min_chunk`` left the job; an old payload carrying it is
+        refused with the typed wire error, not silently accepted."""
+        wire = campaign_job_to_wire(CampaignJob(max_seeds=50))
+        wire["min_chunk"] = 8
+        with pytest.raises(ValueError,
+                           match=r"unknown CampaignJob wire fields.*min_chunk"):
+            campaign_job_from_wire(wire)
+
     def test_key_is_backend_blind(self):
         a = CampaignJob(window=4, max_seeds=50, backend="numpy")
         b = CampaignJob(window=4, max_seeds=50, backend="scalar")
@@ -348,6 +336,30 @@ class TestCampaignJob:
         )
         assert campaign_job_key(base) != campaign_job_key(
             CampaignJob(window=4, max_seeds=60)
+        )
+
+    def test_only_campaign_keys_moved_with_min_chunk(self):
+        """Dropping ``min_chunk`` re-keys campaign cells (the field left
+        the hashed dataclass) without a schema bump; simulation and
+        security keys are pinned to their values from before the drop."""
+        assert job_key(Job("add"), SystemConfig(), 300) == (
+            "d856c092f7176fe14c23c370181c194b"
+            "8cba623119329cdb2359eedd69553c26"
+        )
+        assert security_job_key(SecurityJob()) == (
+            "9b4115a1db64c8ac01740891f617775a"
+            "0cd3a1f34b874ee1447f9231b2c22c6b"
+        )
+        assert security_job_key(
+            SecurityJob(scenario="row_press", acts=1000)
+        ) == (
+            "02744bb5763cba2fd562bef9ce33ab4a"
+            "7ab7e1daa813870fc718ac3933c5659a"
+        )
+        # The default cell's key while it still carried min_chunk=8.
+        assert campaign_job_key(CampaignJob()) != (
+            "d93203289d8640eb4ed536289837845b"
+            "8f4208f5ad9ac1eee79740dab1dd7de3"
         )
 
 
@@ -399,16 +411,42 @@ class TestCellDifferential:
         assert a == b
 
     def test_chunking_never_changes_the_answer(self):
-        """Chunk-schedule bounds shape when the pool grows, never what
-        any probe concludes — min_chunk=max_seeds evaluates the whole
-        pool in one replay and must reproduce the adaptive result
-        (modulo seeds_spent bookkeeping, which we normalize away)."""
-        fine = CampaignJob(window=4, acts=1200, max_seeds=80)
-        coarse = CampaignJob(window=4, acts=1200, max_seeds=80,
-                             min_chunk=80, max_chunk=80)
-        a, b = run_campaign_cell(fine), run_campaign_cell(coarse)
+        """The extension width shapes when the pool grows, never what
+        any probe concludes: narrow and wide extensions reach the same
+        probes and threshold (only seeds_spent may differ)."""
+        narrow = CampaignJob(window=4, acts=1200, max_seeds=300,
+                             max_chunk=16)
+        wide = CampaignJob(window=4, acts=1200, max_seeds=300,
+                           max_chunk=256)
+        a, b = run_campaign_cell(narrow), run_campaign_cell(wide)
         assert a["tolerated_threshold"] == b["tolerated_threshold"]
         assert a["probes"] == b["probes"]
+
+    @staticmethod
+    def _extensions(monkeypatch, job) -> list:
+        """Seeds per kernel call while ``job``'s cell searches."""
+        widths = []
+        replay = _BatchEngine.run_prepared
+
+        def spy(engine, prep, seeds):
+            widths.append(len(seeds))
+            return replay(engine, prep, seeds)
+
+        monkeypatch.setattr(_BatchEngine, "run_prepared", spy)
+        run_campaign_cell(job)
+        return widths
+
+    def test_pool_grows_in_one_call_up_to_max_chunk(self, monkeypatch):
+        cell = DIFFERENTIAL_CELLS[0]
+        job = CampaignJob(**cell)
+        assert job.max_seeds <= job.max_chunk
+        assert self._extensions(monkeypatch, job) == [job.max_seeds]
+
+    def test_default_budget_cell_extends_at_most_twice(self, monkeypatch):
+        job = CampaignJob(window=4, acts=1200)
+        assert job.max_seeds == 400 and job.max_chunk == 256
+        widths = self._extensions(monkeypatch, job)
+        assert widths in ([256], [256, 144])
 
     def test_result_record_round_trips_json(self):
         record = run_campaign_cell(
@@ -485,7 +523,7 @@ class TestResume:
             "sys.path.insert(0, %r)\n"
             "from repro.analysis.runner import ExperimentRunner, CampaignJob\n"
             "job = CampaignJob(window=4, acts=2000, max_seeds=300,\n"
-            "                  min_chunk=8, max_chunk=16)\n"
+            "                  max_chunk=16)\n"
             "runner = ExperimentRunner(cache_dir=%r, jobs=1)\n"
             "record = runner.run_campaign(job)\n"
             "print(record['tolerated_threshold'])\n"
@@ -512,7 +550,7 @@ class TestResume:
         victim.wait(timeout=30)
 
         job = CampaignJob(window=4, acts=2000, max_seeds=300,
-                          min_chunk=8, max_chunk=16)
+                          max_chunk=16)
         resumed = ExperimentRunner(cache_dir=cache_dir, jobs=1)
         resumed_record = resumed.run_campaign(job)
         pristine = ExperimentRunner(

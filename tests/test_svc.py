@@ -11,6 +11,7 @@ integration and crash-resume paths live in ``test_svc_service.py`` and
 import json
 import multiprocessing
 import os
+import random
 
 import pytest
 
@@ -31,7 +32,15 @@ from repro.analysis.storage import DirectoryLock, LockBusyError
 from repro.mc.setup import MitigationSetup
 from repro.svc import protocol
 from repro.svc.clock import Clock
-from repro.svc.queue import CANCELLED, QUEUED, JobRecord, SweepQueue
+from repro.svc.queue import (
+    CANCELLED,
+    DONE,
+    FAILED,
+    QUEUED,
+    RUNNING,
+    JobRecord,
+    SweepQueue,
+)
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +128,43 @@ class TestSweepQueue:
         a.transition(CANCELLED)
         assert queue.depth() == 1
         assert len(queue) == 2  # records are never forgotten
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_depth_count_matches_a_scan_under_random_lifecycles(self, seed):
+        """The kept count equals the brute-force scan after every step
+        of a random mix of the scheduler's transitions."""
+        rng = random.Random(seed)
+        queue = SweepQueue()
+
+        def scan():
+            return sum(
+                1 for r in queue.records.values() if r.state == QUEUED
+            )
+
+        for _ in range(400):
+            by_state = {}
+            for r in queue.records.values():
+                by_state.setdefault(r.state, []).append(r)
+            op = rng.choice(["submit", "pop", "requeue", "cancel", "finish"])
+            if op == "submit":
+                queue.submit("sim", object(), f"k{rng.randrange(5)}",
+                             rng.randrange(3))
+            elif op == "pop":
+                record = queue.pop()
+                if record is not None:
+                    assert queue.depth() == scan()
+                    record.transition(rng.choice([RUNNING, DONE]))
+            elif op == "requeue" and by_state.get(RUNNING):
+                queue.requeue(rng.choice(by_state[RUNNING]))
+            elif op == "cancel":
+                live = by_state.get(QUEUED, []) + by_state.get(RUNNING, [])
+                if live:
+                    rng.choice(live).transition(CANCELLED)
+            elif op == "finish" and by_state.get(RUNNING):
+                rng.choice(by_state[RUNNING]).transition(
+                    rng.choice([DONE, FAILED])
+                )
+            assert queue.depth() == scan()
 
     def test_history_records_every_transition(self):
         record = JobRecord(

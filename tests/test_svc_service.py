@@ -12,6 +12,7 @@ import json
 import shutil
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -203,6 +204,38 @@ class TestServiceBatch:
         finally:
             service.stop()
             thread.join(timeout=15)
+
+    def test_worker_exit_frees_its_slot_before_the_poll_tick(
+        self, service_dir
+    ):
+        """A worker's exit wakes the scheduler: with one worker and a
+        5 s poll interval, two short jobs (the second waiting for the
+        first one's slot) finish well inside a single tick."""
+        poll_interval = 5.0
+        service = SweepService(
+            service_dir + "/w.sock",
+            workers=1,
+            requests=REQUESTS,
+            cache_dir=service_dir + "/wcache",
+            poll_interval=poll_interval,
+        )
+        thread = threading.Thread(target=service.run, daemon=True)
+        thread.start()
+        assert service.wait_ready(10)
+        try:
+            jobs = [SecurityJob(acts=1000, window=4, seeds=2, rows=(row,))
+                    for row in (70_000, 80_000)]
+            with SweepClient(service.socket_path) as client:
+                start = time.monotonic()
+                ids = client.submit(jobs)
+                for job_id in ids:
+                    client.result(job_id, wait=True, timeout=60)
+                elapsed = time.monotonic() - start
+        finally:
+            service.stop()
+            thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert elapsed < poll_interval / 2
 
     def test_unknown_job_id_is_a_service_error(self, daemon):
         with SweepClient(daemon.socket_path) as client:
