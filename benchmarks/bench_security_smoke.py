@@ -6,7 +6,8 @@ replayed across 1000 seeds — and records both rates (plus their ratio)
 into ``BENCH_perf.json`` alongside the simulator smoke numbers. The
 scalar backend is timed on a small seed slice (its per-seed cost is
 constant, so the rate generalizes); the numpy backend runs the full
-thousand-seed batch it exists for.
+thousand-seed batch it exists for. The process's peak RSS after both runs
+is recorded as ``security_peak_rss_mb`` (the numpy batch dominates it).
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_security_smoke.py
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import time
 
 import pytest
@@ -73,13 +75,15 @@ def run_smoke() -> dict:
             "scalar": round(scalar_rate, 1),
         },
         "security_speedup": round(numpy_rate / scalar_rate, 1),
+        # ru_maxrss is in KiB on Linux.
+        "security_peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
     }
 
 
-@skip_perf
-def test_security_smoke():
-    metrics = run_smoke()
-    write_report(metrics)
+def check(metrics: dict) -> None:
+    """The smoke's acceptance floor (shared by pytest and ``__main__``)."""
     rates = metrics["attack_activations_per_second"]
     assert rates["numpy"] > 0 and rates["scalar"] > 0
     assert metrics["security_speedup"] >= MIN_SPEEDUP, (
@@ -88,8 +92,16 @@ def test_security_smoke():
     )
 
 
+@skip_perf
+def test_security_smoke():
+    metrics = run_smoke()
+    write_report(metrics)
+    check(metrics)
+
+
 if __name__ == "__main__":
     metrics = run_smoke()
     write_report(metrics)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     print(f"\nwrote {OUTPUT}")
+    check(metrics)

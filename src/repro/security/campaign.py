@@ -89,7 +89,8 @@ DEFAULT_P0 = 0.01
 DEFAULT_P1 = 0.10
 
 #: Seeds per pool extension, i.e. per kernel call; it also bounds the
-#: pressure arena at ``max_chunk x rows_per_bank``.
+#: pressure arena at ``max_chunk x`` the rows the replay can reach (see
+#: ``_BatchEngine._span``), not ``x rows_per_bank``.
 DEFAULT_MAX_CHUNK = 256
 
 #: Hard ceiling for the exponential search (pressure is bounded by

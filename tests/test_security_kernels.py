@@ -164,6 +164,117 @@ class TestDifferential:
         )
 
 
+class TestBlockAndPlanPaths:
+    """The per-ACT block update, the planned window epilogue and the
+    reachable-row arena against the scalar oracle, where they are most
+    likely to go wrong: centres and victims at either edge of the bank,
+    partial windows, refresh clears mid-window, wide blast radii,
+    escalating MINT levels (which widen the span), PARA lanes that skip
+    windows, and the cipher's scattered rows."""
+
+    BANK = 4096
+
+    @given(
+        region=st.sampled_from(["low", "mid", "high"]),
+        n_rows=st.integers(min_value=1, max_value=4),
+        pattern_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        acts=st.integers(min_value=1, max_value=400),
+        window=st.integers(min_value=2, max_value=7),
+        refresh=st.one_of(st.none(), st.integers(min_value=1, max_value=150)),
+        blast_radius=st.integers(min_value=1, max_value=3),
+        tracker=st.sampled_from(TRACKERS),
+        policy=st.sampled_from(POLICIES),
+        cipher_key=st.one_of(st.none(), st.integers(0, 2**16)),
+        seeds=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_numpy_equals_scalar(
+        self, region, n_rows, pattern_seed, acts, window, refresh,
+        blast_radius, tracker, policy, cipher_key, seeds,
+    ):
+        bank = self.BANK
+        base = {"low": 0, "mid": bank // 2, "high": bank - 8}[region]
+        rng = np.random.default_rng(pattern_seed)
+        rows = base + rng.choice(8, size=n_rows, replace=False)
+        pattern = rng.choice(rows, size=acts).tolist()
+        cipher = None if cipher_key is None else KCipher(bank, cipher_key)
+        differential(
+            pattern,
+            tracker_spec_from_strings(tracker, window),
+            policy_spec_from_string(policy),
+            window=window, seeds=seeds, rows_per_bank=bank,
+            blast_radius=blast_radius, refresh_interval_acts=refresh,
+            row_cipher=cipher,
+        )
+
+    def test_single_sided_tie_goes_to_profile_order(self):
+        # Rows r - 1 and r + 1 take the same damage on every ACT, and the
+        # Graphene threshold is never reached, so they tie throughout:
+        # the first hammer-profile offset (-1) must win, as it does in
+        # the scalar engine's sequential strictly-greater rule.
+        row = 70_000
+        pattern = build_pattern("single_sided", [row], 400)
+        tracker = GrapheneSpec(entries=8, mitigation_count=10**6)
+        results = run_attack_batch(
+            [pattern], tracker, FractalPolicySpec(), window=4, seeds=64,
+        )[0]
+        for result in results:
+            assert result.max_pressure == 400.0
+            assert result.max_pressure_row == row - 1
+            assert result.mitigations == 0
+        scalar = run_attack_batch(
+            [pattern], tracker, FractalPolicySpec(), window=4, seeds=2,
+            backend="scalar",
+        )[0]
+        assert_equal_results(scalar, results[:2])
+
+
+class TestReachableArena:
+    """The pressure arena covers only the rows a replay can reach, so its
+    size follows the pattern's extent, not the bank's height."""
+
+    @staticmethod
+    def engine():
+        from repro.security.kernels import _BatchEngine
+
+        return _BatchEngine(
+            MintSpec(4), FractalPolicySpec(), 4, ROWS, 2, None, None, False,
+        )
+
+    def test_arena_holds_only_reachable_rows(self):
+        engine = self.engine()
+        seeds = list(range(256))
+        pattern = build_pattern("double_sided", [70_000], 2_000)
+        engine.run_pattern(pattern, seeds, None)
+        # Pattern rows 69_999..70_001, widened on each side by the
+        # farthest Fractal victim plus the blast radius, plus the
+        # 2R+1 pad rows below.
+        radius = 2
+        span = 3 + 2 * (2 + FractalMitigation.RAND_BITS + radius)
+        rows = span + 2 * radius + 1
+        assert engine._pressure_buf.size <= rows * len(seeds)
+        assert engine._pressure_buf.nbytes < 1 << 20
+
+    def test_mid_bank_seeds_replay_in_one_chunk(self, monkeypatch):
+        from repro.security.kernels import _BatchEngine
+
+        widths = []
+        replay = _BatchEngine._run_chunk
+
+        def spy(self, prep, seeds):
+            widths.append(len(seeds))
+            return replay(self, prep, seeds)
+
+        monkeypatch.setattr(_BatchEngine, "_run_chunk", spy)
+        pattern = build_pattern("double_sided", [70_000], 400)
+        results = run_attack_batch(
+            [pattern], MintSpec(4), FractalPolicySpec(), window=4,
+            seeds=1000, collect_pressure=False,
+        )[0]
+        assert widths == [1000]
+        assert len(results) == 1000
+
+
 class TestRngBatchingPins:
     """The equality argument rests on these numpy Generator identities:
     one size=n call consumes the identical stream as n single calls."""
