@@ -1,6 +1,6 @@
 # Convenience targets for the AutoRFM reproduction.
 
-.PHONY: install test lint lint-fast lint-baseline payload-verify bench bench-smoke bench-security bench-sim bench-svc bench-campaign examples audit clean
+.PHONY: install test lint lint-fast lint-baseline payload-verify bench bench-smoke bench-security bench-svc bench-campaign examples audit clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -30,16 +30,15 @@ payload-verify:
 bench:
 	pytest benchmarks/ --benchmark-only
 
+# Simulator throughput: events/sec and events per reference-loop event of
+# the fixed smoke run, observability overhead, and the scalar-vs-batch
+# timing backends over the lane fleet (writes them into BENCH_perf.json;
+# see docs/observability.md and docs/sim_batch.md).
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_perf_smoke.py
 
 bench-security:
 	PYTHONPATH=src python benchmarks/bench_security_smoke.py
-
-# Scalar-vs-batch timing backends over the lane fleet (writes
-# sim_batch_speedup into BENCH_perf.json; see docs/sim_batch.md).
-bench-sim:
-	PYTHONPATH=src python benchmarks/bench_perf_smoke.py
 
 # Sweep-service throughput: cold jobs/sec through the daemon's worker
 # pool and warm cache-hit latency (writes svc_jobs_per_second and

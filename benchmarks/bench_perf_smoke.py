@@ -9,13 +9,22 @@ batch speedup. The numbers land in ``BENCH_perf.json`` at the repo root so
 successive checkouts can be compared; regressions to the scheduler, the
 event-loop hot path, or the kernel show up here first.
 
+Absolute events/s follow the machine's load as much as the code. So the
+bench also times a fixed pure-Python heap-and-call loop in the same
+process (:func:`time_reference_ratio`) and records the simulator's
+throughput relative to it (``events_per_reference``); load that slows
+both alike cancels out of that ratio.
+
 Run standalone:  PYTHONPATH=src python benchmarks/bench_perf_smoke.py
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import os
+import statistics
 import time
 
 import repro.cpu.system as system
@@ -65,17 +74,13 @@ class _CountingEngine(Engine):
         _CountingEngine.last = self
 
 
-def time_simulation(
-    repeats: int = REPEATS, observed: bool = False, locate_cache: bool = True
-):
+def time_simulation(repeats: int = REPEATS, observed: bool = False):
     """min-of-``repeats`` wall time of the fixed simulation.
 
     Returns ``(wall_seconds, events, result)``. With ``observed`` the run
     carries a full Observability (metrics + trace) so the report can state
     what the instrumentation costs when it is actually on; the headline
     ``events_per_second`` number always comes from the disabled path.
-    ``locate_cache=False`` switches off the controller's line->location
-    memo (``REPRO_LOCATE_CACHE=0``) so the report can quote its speedup.
     """
     config = SystemConfig()
     setup = MitigationSetup(**SETUP)
@@ -84,9 +89,6 @@ def time_simulation(
     )
     original = system.Engine
     system.Engine = _CountingEngine
-    saved_cache_env = os.environ.get("REPRO_LOCATE_CACHE")
-    if not locate_cache:
-        os.environ["REPRO_LOCATE_CACHE"] = "0"
     try:
         wall = None
         for _ in range(repeats):
@@ -104,12 +106,81 @@ def time_simulation(
         events = _CountingEngine.last._seq
     finally:
         system.Engine = original
-        if not locate_cache:
-            if saved_cache_env is None:
-                os.environ.pop("REPRO_LOCATE_CACHE", None)
-            else:
-                os.environ["REPRO_LOCATE_CACHE"] = saved_cache_env
     return wall, events, result
+
+
+#: The reference loop runs in slices of this many events, one slice at
+#: every ``REFERENCE_EVERY``-cycle boundary of the simulation, so the two
+#: alternate every few milliseconds and see the same machine speed.
+REFERENCE_SLICE = 750
+REFERENCE_EVERY = 500
+
+
+class _ReferenceActor:
+    """One actor of the reference loop: a bound-method callback that bumps
+    its own counter and reschedules itself, the shape of the simulator's
+    per-event work with none of its code."""
+
+    __slots__ = ("heap", "counter", "period", "fired")
+
+    def __init__(self, heap, counter, period):
+        self.heap = heap
+        self.counter = counter
+        self.period = period
+        self.fired = 0
+
+    def fire(self, now):
+        self.fired += 1
+        heapq.heappush(
+            self.heap, (now + self.period, next(self.counter), self.fire)
+        )
+
+
+def time_reference_ratio() -> float:
+    """Disabled-path events/s over reference-loop events/s, one run.
+
+    The fixed simulation drains in ``REFERENCE_EVERY``-cycle segments
+    (the checkpoint-boundary drain; event order is unchanged), and a slice
+    of a fixed pure-Python heap-and-call loop runs at every boundary. Each
+    slice is timed on its own and subtracted from the run's wall time, so
+    both rates come from the same few hundred interleaved windows. The
+    loop shares no code with the simulator, so a change in the simulator
+    moves the ratio; load that slows the two unequally moves it too (on a
+    shared 2-vCPU VM the ratio rose by up to ~10 % when the machine was
+    busy).
+    """
+    config = SystemConfig()
+    setup = MitigationSetup(**SETUP)
+    traces = make_rate_traces(
+        WORKLOADS[WORKLOAD], config, requests=REQUESTS, seed=SEED
+    )
+    heap = []
+    counter = itertools.count()
+    for k in range(64):
+        actor = _ReferenceActor(heap, counter, 1 + k % 13)
+        heapq.heappush(heap, (k, next(counter), actor.fire))
+    pop = heapq.heappop
+    reference = [0.0, 0]  # seconds, events
+
+    def run_slice(_system, _boundary):
+        start = time.perf_counter()
+        for _ in range(REFERENCE_SLICE):
+            now, _, callback = pop(heap)
+            callback(now)
+        reference[0] += time.perf_counter() - start
+        reference[1] += REFERENCE_SLICE
+
+    start = time.perf_counter()
+    sim = system.SimulatedSystem(traces, setup, config, MAPPING, seed=SEED)
+    sim.start()
+    sim.run(checkpoint_every=REFERENCE_EVERY, on_checkpoint=run_slice)
+    sim_wall = time.perf_counter() - start - reference[0]
+    return (sim.engine._seq / sim_wall) / (reference[1] / reference[0])
+
+
+def reference_ratio(runs: int = 5) -> float:
+    """Median of ``runs`` :func:`time_reference_ratio` measurements."""
+    return statistics.median(time_reference_ratio() for _ in range(runs))
 
 
 def time_backends(repeats: int = REPEATS):
@@ -198,36 +269,23 @@ def time_lint_full_tree(repeats: int = REPEATS) -> float:
 def run_smoke() -> dict:
     """Time the fixed simulation once; return the metrics dict.
 
-    The three single-run variants are interleaved round by round (plain,
-    observed, no-locate-cache, repeat) for the same reason
-    :func:`time_backends` interleaves its backends: every quoted ratio
-    compares minima that each had a shot at the same quiet windows, so a
-    transient load burst cannot masquerade as overhead.
+    The plain and observed runs are interleaved round by round for the same
+    reason :func:`time_backends` interleaves its backends: the quoted
+    overhead compares minima that each had a shot at the same quiet
+    windows, so a transient load burst cannot masquerade as overhead.
+    ``events_per_reference`` is the median of several
+    :func:`time_reference_ratio` runs; it is the number the tier-1
+    overhead guard holds the disabled path to.
     """
-    wall = obs_wall = nocache_wall = None
-    # More rounds than the fleet timing: the single runs are short
-    # (~0.5 s), so each needs more shots at an undisturbed window. The
-    # plain/no-locate-cache pair additionally *alternates order* between
-    # rounds: the cache effect is a few percent, which is under the
-    # turbo/thermal drift across one round, so a fixed order would let the
-    # ramp masquerade as (or cancel) the speedup. Minima over enough
-    # alternated rounds converge to the quiet-window cost of each variant.
-    for i in range(4 * REPEATS + 2):
-        if i % 2 == 0:
-            w, events, result = time_simulation(repeats=1)
-            nw, _, _ = time_simulation(repeats=1, locate_cache=False)
-        else:
-            nw, _, _ = time_simulation(repeats=1, locate_cache=False)
-            w, events, result = time_simulation(repeats=1)
-        wall = w if wall is None else min(wall, w)
-        nocache_wall = nw if nocache_wall is None else min(nocache_wall, nw)
+    wall = obs_wall = None
+    # More rounds than the fleet timing: the single runs are short, so each
+    # needs several shots at an undisturbed window.
     for _ in range(2 * REPEATS + 1):
-        # Interleave a plain run so the obs-overhead ratio also compares
-        # minima that shared the same quiet windows.
         ow, obs_events, _ = time_simulation(repeats=1, observed=True)
-        w, _, _ = time_simulation(repeats=1)
+        w, events, result = time_simulation(repeats=1)
         obs_wall = ow if obs_wall is None else min(obs_wall, ow)
-        wall = min(wall, w)
+        wall = w if wall is None else min(wall, w)
+    ratio = reference_ratio(runs=2 * REPEATS + 1)
     scalar_wall, batch_wall, fleet_events = time_backends()
     lint_wall = time_lint_full_tree()
     return {
@@ -244,10 +302,7 @@ def run_smoke() -> dict:
         "events": events,
         "wall_seconds": round(wall, 4),
         "events_per_second": round(events / wall, 1),
-        "events_per_second_no_locate_cache": round(events / nocache_wall, 1),
-        "locate_cache_speedup_pct": round(
-            100.0 * (nocache_wall - wall) / nocache_wall, 1
-        ),
+        "events_per_reference": round(ratio, 4),
         "obs_events_per_second": round(obs_events / obs_wall, 1),
         "obs_overhead_pct": round(100.0 * (obs_wall - wall) / wall, 1),
         "sim_cycles": result.stats.cycles,

@@ -138,7 +138,7 @@ def _decode_request(
     # Location is pure function of address and mapping; recompute rather
     # than serialise.
     location = system.mapping.locate(request.line_addr)
-    request.location = location
+    request.row = location.row
     request.flat_bank = location.flat_bank(system.config.banks_per_subchannel)
     if data["cb"] is not None:
         request.on_complete = _decode_callback(data["cb"], owners)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Sequence
 
 from repro.ckpt.contract import checkpointable
 from repro.mc.request import Request
@@ -46,6 +46,12 @@ from repro.workloads.trace import Trace
         "trace",
         "config",
         "_n",
+        "_addrs",
+        "_writes",
+        "_rows",
+        "_flat_banks",
+        "_rob_size",
+        "_mshrs",
         "_seq",
         "_dispatch_bound",
         "_retire_cycles",
@@ -55,7 +61,13 @@ from repro.workloads.trace import Trace
     derived=("engine", "submit", "stats", "on_finish"),
 )
 class Core:
-    """One trace-driven core attached to the memory controller."""
+    """One trace-driven core attached to the memory controller.
+
+    ``rows``/``flat_banks`` carry the trace's decoded DRAM locations (see
+    :meth:`repro.mapping.base.MemoryMapping.locate_array`); requests then
+    reach the controller already decoded. Without them every request is
+    submitted undecoded and the controller decodes it.
+    """
 
     def __init__(
         self,
@@ -66,6 +78,8 @@ class Core:
         submit: Callable[[Request], None],
         stats: CoreStats,
         on_finish: Optional[Callable[[int], None]] = None,
+        rows: Optional[Sequence[int]] = None,
+        flat_banks: Optional[Sequence[int]] = None,
     ):
         self.core_id = core_id
         self.trace = trace
@@ -78,6 +92,16 @@ class Core:
         width = config.core_width
         n = len(trace)
         self._n = n
+        if (rows is None) != (flat_banks is None):
+            raise ValueError("rows and flat_banks come as a pair")
+        if rows is None:
+            rows = flat_banks = [-1] * n
+        self._addrs = trace.addrs
+        self._writes = trace.writes
+        self._rows = rows
+        self._flat_banks = flat_banks
+        self._rob_size = config.rob_size
+        self._mshrs = config.mshrs_per_core
         # seq[i]: instructions up to and including request i.
         seq: List[int] = [0] * n
         running = 0
@@ -113,48 +137,55 @@ class Core:
 
     # ------------------------------------------------------------------
     def _try_issue(self, now: int) -> None:
-        trace = self.trace
-        while self._next < self._n:
-            i = self._next
-            bound = self._dispatch_bound[i]
-            if bound > now:
-                self._schedule_issue(bound)
-                return
-            if (
-                self._outstanding
-                and self._seq[i] - self._outstanding[0][0] >= self.config.rob_size
-            ):
-                return  # ROB full; resume when the oldest read completes
-            is_write = trace.writes[i]
-            if not is_write and self._mshr_used >= self.config.mshrs_per_core:
-                return  # MSHRs full; resume on a completion
-            self._dispatch(i, now, is_write)
-        self._maybe_finish()
+        """Dispatch every request the frontend, ROB and MSHRs allow."""
+        n = self._n
+        i = self._next
+        if i < n:
+            bounds = self._dispatch_bound
+            seq = self._seq
+            writes = self._writes
+            outstanding = self._outstanding
+            completion = self._completion
+            rob_size = self._rob_size
+            mshrs = self._mshrs
+            stats = self.stats
+            while i < n:
+                bound = bounds[i]
+                if bound > now:
+                    self._schedule_issue(bound)
+                    return
+                if outstanding and seq[i] - outstanding[0][0] >= rob_size:
+                    return  # ROB full; resume when the oldest read completes
+                is_write = writes[i]
+                if not is_write and self._mshr_used >= mshrs:
+                    return  # MSHRs full; resume on a completion
 
-    def _dispatch(self, i: int, now: int, is_write: bool) -> None:
-        self._next = i + 1
-        self.stats.memory_requests += 1
-        self._dispatch_time[i] = now
-        callback = None
-        if is_write:
-            # Writes retire without waiting on memory.
-            self._completion[i] = now
-        else:
-            self._mshr_used += 1
-            self._outstanding.append([self._seq[i], i, 0])
-            # A partial of a bound method (not a closure) so the pending
-            # completion can be serialised by the checkpoint layer.
-            callback = partial(self._on_read_complete, i)
-        self.submit(
-            Request(
-                core_id=self.core_id,
-                line_addr=self.trace.addrs[i],
-                is_write=is_write,
-                arrival=now,
-                on_complete=callback,
-            )
-        )
-        self._advance_retirement()
+                # Dispatch request i.
+                self._next = i + 1
+                stats.memory_requests += 1
+                self._dispatch_time[i] = now
+                if is_write:
+                    # Writes retire without waiting on memory.
+                    completion[i] = now
+                    callback = None
+                else:
+                    self._mshr_used += 1
+                    outstanding.append([seq[i], i, 0])
+                    # A partial of a bound method (not a closure) so the
+                    # pending completion can be serialised by the
+                    # checkpoint layer.
+                    callback = partial(self._on_read_complete, i)
+                self.submit(Request(
+                    self.core_id, self._addrs[i], is_write, now,
+                    self._rows[i], self._flat_banks[i], callback,
+                ))
+                # Retirement can only advance if the oldest unretired
+                # request has completed (always true once it is this one).
+                rp = self._retire_ptr
+                if rp > i or completion[rp] is not None:
+                    self._advance_retirement()
+                i += 1
+        self._maybe_finish()
 
     def _on_read_complete(self, i: int, now: int) -> None:
         self._mshr_used -= 1

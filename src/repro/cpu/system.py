@@ -14,7 +14,9 @@ fixed cycle boundaries for checkpoint capture). The checkpoint layer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ckpt.contract import checkpointable
 from repro.mapping import MemoryMapping, RubixMapping, ZenMapping
@@ -38,6 +40,29 @@ def build_mapping(name: str, config: SystemConfig, seed: int = 0) -> MemoryMappi
     if name == "rubix":
         return RubixMapping(config, key=RngStreams(seed).integer_seed("rubix-key"))
     raise ValueError(f"unknown mapping {name!r}; expected one of {MAPPINGS}")
+
+
+def decode_traces(
+    mapping: MemoryMapping, traces: Sequence[Trace]
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """Each trace's DRAM rows and flat banks, decoded in one vector pass.
+
+    Returns ``(rows, flat_banks)``, one list per trace. An out-of-range
+    address raises :meth:`MemoryMapping.locate`'s ``ValueError``.
+    """
+    arrays = [np.asarray(t.addrs, dtype=np.int64) for t in traces]
+    rows_all, flats_all = mapping.locate_array(np.concatenate(arrays))
+    rows_all = rows_all.tolist()
+    flats_all = flats_all.tolist()
+    rows: List[List[int]] = []
+    flat_banks: List[List[int]] = []
+    pos = 0
+    for array in arrays:
+        end = pos + array.size
+        rows.append(rows_all[pos:end])
+        flat_banks.append(flats_all[pos:end])
+        pos = end
+    return rows, flat_banks
 
 
 @dataclass
@@ -113,6 +138,10 @@ class SimulatedSystem:
         self.streams = RngStreams(seed)
         self.stats = SimStats.with_shape(config.num_banks, config.num_cores)
         self.mapping = build_mapping(mapping, config, seed)
+        # Every request's location is a pure function of its address and
+        # the mapping, so each trace is decoded once, before any event
+        # runs; an out-of-range address fails here.
+        rows, flat_banks = decode_traces(self.mapping, self.traces)
 
         self.cores: List[Core] = []
         self.controller = MemoryController(
@@ -135,6 +164,8 @@ class SimulatedSystem:
                     engine=self.engine,
                     submit=self.controller.submit,
                     stats=self.stats.cores[core_id],
+                    rows=rows[core_id],
+                    flat_banks=flat_banks[core_id],
                 )
             )
         self._started = False

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
 
 from repro.sim.config import SystemConfig
 
@@ -62,6 +65,33 @@ class MemoryMapping(abc.ABC):
         key under Rubix, which is why randomization also raises the bar for
         attackers that cannot read the mapping).
         """
+
+    def locate_array(self, addrs) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`locate` for a whole trace: ``(rows, flat_banks)``.
+
+        Element-wise identical to ``locate(a).row`` and
+        ``locate(a).flat_bank(banks_per_subchannel)``; both results are
+        int64 arrays. The first out-of-range address raises the same
+        ``ValueError`` as :meth:`locate`. Subclasses that scramble the
+        address first override only :meth:`_scramble_array`.
+        """
+        addrs = np.asarray(addrs, dtype=np.int64)
+        bad = (addrs < 0) | (addrs >= self._total_lines)
+        if bad.any():
+            self._check_range(int(addrs[np.argmax(bad)]))
+        scrambled = self._scramble_array(addrs)
+        lines_per_row = self._lines_per_row
+        banks = self._banks_per_sc
+        nsc = self._num_subchannels
+        page = scrambled // lines_per_row
+        bank = ((scrambled % lines_per_row) >> 1) % banks
+        rows = page // nsc // banks
+        flat_banks = (page % nsc) * banks + bank
+        return rows, flat_banks
+
+    def _scramble_array(self, addrs: np.ndarray) -> np.ndarray:
+        """The pre-decomposition address transform, on a whole array."""
+        return addrs
 
     def subarray_of(self, location: LineLocation) -> int:
         """Subarray index (within the bank) holding ``location``'s row."""

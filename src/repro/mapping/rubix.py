@@ -10,6 +10,8 @@ back in bank-level parallelism.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.mapping.base import LineLocation, MemoryMapping
 from repro.mapping.kcipher import KCipher
 from repro.sim.config import SystemConfig
@@ -32,6 +34,9 @@ class RubixMapping(MemoryMapping):
     def locate(self, line_addr: int) -> LineLocation:
         self._check_range(line_addr)
         return self._decompose(self.cipher.encrypt(line_addr))
+
+    def _scramble_array(self, addrs: np.ndarray) -> np.ndarray:
+        return self.cipher.encrypt_array(addrs)
 
     def line_for(self, location: LineLocation) -> int:
         """Inverse mapping — only computable with the cipher key.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.ckpt.contract import checkpointable
 from repro.core.autorfm import AutoRfmEngine
@@ -43,20 +43,12 @@ from repro.sim.cmdlog import (
     VICTIM_REFRESH,
     CommandLog,
 )
-from repro.sim.config import (
-    DEFAULT_LOCATE_CACHE,
-    SystemConfig,
-    locate_cache_capacity,
-)
+from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.sim.stats import SimStats
 
-
-# The locate-memo env knob (REPRO_LOCATE_CACHE) moved to repro.sim.config,
-# the designated os.environ home (determinism lint DET003); the names stay
-# re-exported here for existing importers.
-__all__ = ["DEFAULT_LOCATE_CACHE", "locate_cache_capacity", "MemoryController"]
+__all__ = ["MemoryController"]
 
 
 class _ObsHooks:
@@ -190,6 +182,8 @@ class _ObsHooks:
         "timing",
         "setup",
         "_open_page",
+        "_write_drain",
+        "_simple_pick",
         "_banks_per_sc",
         "_trp",
         "_tras",
@@ -207,8 +201,8 @@ class _ObsHooks:
         "command_log",
         "_obs",
         "_streams",
-        "_locate_cache",
-        "_locate_cache_cap",
+        "_auto_precharge_cbs",
+        "_wakeup_cbs",
     ),
 )
 class MemoryController:
@@ -239,6 +233,10 @@ class MemoryController:
         self.command_log = command_log
 
         self._open_page = config.page_policy == "open"
+        self._write_drain = config.write_drain
+        # The common candidate pick (no per-request retry, no write drain)
+        # is inlined in _try_service; the rest go through _pick_candidate.
+        self._simple_pick = not (setup.per_request_retry or config.write_drain)
         # Hot-path constants, pre-resolved once: the scheduler consults these
         # on every request, and the timing values live behind computed
         # properties on the (frozen) config objects.
@@ -268,16 +266,15 @@ class MemoryController:
         self.bus_free_at: List[int] = [0] * config.num_subchannels
         self._wakeups: List[Optional[int]] = [None] * n_banks
         self._order = 0
-        # Memoized line->location decode. The mapping is a pure static
-        # function of the line address for the whole run (even Rubix: the
-        # cipher key is fixed at construction), so entries never need
-        # invalidating; the bound only caps memory. Eviction is FIFO in
-        # insertion order — hits pay one dict probe and nothing else (LRU
-        # move-to-end bookkeeping on this path costs more than the decode
-        # it saves). Derived, not state: a restored controller restarts
-        # cold with identical results.
-        self._locate_cache: Dict[int, object] = {}
-        self._locate_cache_cap = locate_cache_capacity()
+        # Per-bank event callbacks, built once and reused for every ACT and
+        # wake-up. They stay partials of bound methods, so the checkpoint
+        # layer serialises them exactly as it would fresh ones.
+        self._auto_precharge_cbs = [
+            partial(self._auto_precharge, flat) for flat in range(n_banks)
+        ]
+        self._wakeup_cbs = [
+            partial(self._wakeup_fired, flat) for flat in range(n_banks)
+        ]
 
         self.rfm: Optional[RfmController] = None
         self.prac: Optional[PracModel] = None
@@ -388,36 +385,34 @@ class MemoryController:
     # Request entry point
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
-        """Accept a request at the current cycle."""
-        line = request.line_addr
-        cache = self._locate_cache
-        location = cache.get(line)
-        if location is None:
-            location = self.mapping.locate(line)
-            if self._locate_cache_cap:
-                if len(cache) >= self._locate_cache_cap:
-                    cache.pop(next(iter(cache)))
-                cache[line] = location
-        request.location = location
-        request.flat_bank = location.flat_bank(self._banks_per_sc)
+        """Accept a request at the current cycle.
+
+        Cores built from a decoded trace hand over ``row``/``flat_bank``;
+        an undecoded request (``flat_bank < 0``) is decoded here.
+        """
+        flat = request.flat_bank
+        if flat < 0:
+            location = self.mapping.locate(request.line_addr)
+            request.row = location.row
+            flat = request.flat_bank = location.flat_bank(self._banks_per_sc)
         request._order = self._order
         self._order += 1
-        if request.is_write and self.config.write_drain:
-            sc = request.flat_bank // self._banks_per_sc
+        if self._write_drain and request.is_write:
+            sc = flat // self._banks_per_sc
             buffer = self._write_buffers[sc]
             buffer.append(request)
             watermark = (3 * self.config.write_buffer_size) // 4
             if len(buffer) >= watermark:
                 self.drain_writes(sc)
             return
-        self.queues[request.flat_bank].append(request)
+        queue = self.queues[flat]
+        queue.append(request)
         obs = self._obs
         if obs is not None and obs.queue_depth_pending is not None:
-            sc = request.flat_bank // self._banks_per_sc
-            obs.queue_depth_pending[sc].append(
-                len(self.queues[request.flat_bank])
+            obs.queue_depth_pending[flat // self._banks_per_sc].append(
+                len(queue)
             )
-        self._try_service(request.flat_bank, self.engine.now)
+        self._try_service(flat, self.engine.now)
 
     def drain_writes(self, sc: Optional[int] = None) -> int:
         """Flush buffered writes into the bank queues; returns the count.
@@ -459,8 +454,18 @@ class MemoryController:
     # ------------------------------------------------------------------
     def _try_service(self, flat: int, now: int) -> None:
         queue = self.queues[flat]
+        if not queue:
+            return
         bank = self.banks[flat]
         sc = flat // self._banks_per_sc
+        # Hot loop: state every pass may consult is resolved into locals
+        # once per call. Hooks only the ACT path needs are read on that
+        # path, which a call reaches at most once (after an ACT the bank
+        # waits tRC) unless the per-request-retry ablation retries.
+        rfm = self.rfm
+        open_page = self._open_page
+        simple_pick = self._simple_pick
+        busy_until = self.busy_table._busy_until
 
         while queue:
             # 1) Row-buffer hits first (FR-FCFS within the tRAS window).
@@ -470,28 +475,36 @@ class MemoryController:
             if open_row != NO_ROW and now <= bank.open_until:
                 kept = []
                 for request in queue:
-                    if request.location.row == open_row:
+                    if request.row == open_row:
                         bank.record_hit()
-                        self._serve(request, bank, sc, now, hit=True)
+                        self._serve(request, bank, sc, now, True)
                     else:
                         kept.append(request)
                 if len(kept) != len(queue):
                     queue[:] = kept
                     continue
 
-            # 2) Pick the ACT candidate.
-            idx = self._pick_candidate(flat, queue, now)
-            if idx is None:
-                return
+            # 2) Pick the ACT candidate: the oldest request unless the bank
+            # is busy after an ALERT (the busy-table check of Fig. 7).
+            if simple_pick:
+                until = busy_until[flat]
+                if now < until:
+                    self._wakeup(flat, until)
+                    return
+                idx = 0
+            else:
+                idx = self._pick_candidate(flat, queue, now)
+                if idx is None:
+                    return
             request = queue[idx]
 
             # 3) RFM gating: RAA at the cap means RFM before any ACT.
-            if self.rfm is not None and self.rfm.rfm_needed(flat):
-                if bank.open_row != NO_ROW and self._open_page:
+            if rfm is not None and rfm.rfm_needed(flat):
+                if bank.open_row != NO_ROW and open_page:
                     bank.precharge_for_conflict(now)
                 if bank.open_row == NO_ROW:
                     free_at = bank.issue_rfm(now)
-                    self.rfm.on_rfm(flat)
+                    rfm.on_rfm(flat)
                     if self.command_log is not None:
                         self.command_log.record(
                             free_at - self.timing.trfm, RFM, flat
@@ -505,7 +518,7 @@ class MemoryController:
 
             # 4) Bank timing. Open-page closes a conflicting row on demand;
             # closed-page rows auto-precharge at tRAS.
-            if bank.open_row != NO_ROW and self._open_page:
+            if bank.open_row != NO_ROW and open_page:
                 bank.precharge_for_conflict(now)
             if bank.open_row != NO_ROW or now < bank.ready_at:
                 self._wakeup(flat, bank.ready_at)
@@ -517,17 +530,19 @@ class MemoryController:
                 self._wakeup(flat, recent[0] + self._tfaw)
                 return
 
-            row = request.location.row
+            row = request.row
+            blockhammer = self.blockhammer
 
             # 4b) BlockHammer: a blacklisted row's ACTs are spaced out.
-            if self.blockhammer is not None:
-                allowed = self.blockhammer.earliest_act(flat, row, now)
+            if blockhammer is not None:
+                allowed = blockhammer.earliest_act(flat, row, now)
                 if now < allowed:
                     self._wakeup(flat, allowed)
                     return
 
             # 5) AutoRFM: conflict with the SAUM declines the ACT (ALERT).
-            if bank.autorfm is not None and bank.autorfm.conflicts(row, now):
+            autorfm = bank.autorfm
+            if autorfm is not None and autorfm.conflicts(row, now):
                 self._handle_alert(request, bank, flat, now)
                 if self.setup.per_request_retry:
                     continue
@@ -538,8 +553,9 @@ class MemoryController:
             recent.append(now)
             if len(recent) > 4:
                 recent.pop(0)
-            if self.command_log is not None:
-                self.command_log.record(now, ACT, flat, row)
+            log = self.command_log
+            if log is not None:
+                log.record(now, ACT, flat, row)
             obs = self._obs
             if obs is not None:
                 if obs.acts is not None:
@@ -548,18 +564,18 @@ class MemoryController:
                     obs.trace_pending.append(
                         {"t": now, "kind": "ACT", "bank": flat, "row": row}
                     )
-            if not self._open_page:
+            if not open_page:
                 self.engine.schedule(
-                    now + self.timing.tras,
-                    partial(self._auto_precharge, flat),
+                    now + self._tras, self._auto_precharge_cbs[flat]
                 )
-            if self.rfm is not None:
-                self.rfm.on_activation(flat)
-            if self.prac is not None and self.prac.on_activation(flat, row):
+            if rfm is not None:
+                rfm.on_activation(flat)
+            prac = self.prac
+            if prac is not None and prac.on_activation(flat, row):
                 self._abo_stall(sc, flat, now)
-            if self.blockhammer is not None:
+            if blockhammer is not None:
                 self.blockhammer.observe(flat, row, now)
-            self._serve(request, bank, sc, now, hit=False)
+            self._serve(request, bank, sc, now, False)
             del queue[idx]
             # Loop: younger queued requests may now hit the open row.
 
@@ -593,7 +609,7 @@ class MemoryController:
         bank.stats.alerts += 1
         request.alerts += 1
         if self.command_log is not None:
-            self.command_log.record(now, ALERT, flat, request.location.row)
+            self.command_log.record(now, ALERT, flat, request.row)
         if request.alerts > self.stats.max_request_alerts:
             self.stats.max_request_alerts = request.alerts
         tm = self.setup.tm_retry_cycles or bank.autorfm.mitigation_busy_cycles
@@ -609,7 +625,7 @@ class MemoryController:
                 # when the MC will retry.
                 obs.trace_pending.append({
                     "t": now, "kind": "ALERT", "bank": flat,
-                    "row": request.location.row,
+                    "row": request.row,
                     "alerts": request.alerts, "retry_at": retry_time,
                 })
         # The MC precharges the bank so every chip holds the conflicted row
@@ -789,7 +805,7 @@ class MemoryController:
         if pending is not None and pending <= time:
             return
         self._wakeups[flat] = time
-        self.engine.schedule(time, partial(self._wakeup_fired, flat))
+        self.engine.schedule(time, self._wakeup_cbs[flat])
 
     def _wakeup_fired(self, flat: int, now: int) -> None:
         if self._wakeups[flat] is not None and self._wakeups[flat] <= now:

@@ -14,8 +14,9 @@ Three concerns, three modules, one facade:
 The facade is :class:`Observability`; instrumented components accept an
 optional instance and publish through pre-resolved hook points that are a
 single ``is None`` branch when observability is off — the disabled path
-must stay within the <2 % events/sec budget that
-``benchmarks/bench_perf_smoke.py`` enforces.
+must stay within the 2 % throughput budget that
+``tests/test_obs_overhead.py`` holds it to against the baseline of
+``benchmarks/bench_perf_smoke.py``.
 
 Typical use::
 

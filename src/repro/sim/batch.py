@@ -4,14 +4,13 @@
 ("lanes") in one process. The scalar engine behind
 :func:`repro.cpu.system.simulate` spends most of its wall clock on Python
 call machinery — ``Engine -> Core -> MemoryController -> Bank`` method
-chains, one ``functools.partial`` and one ``Request`` object per event,
-and a memoized ``mapping.locate`` per request. This module mirrors the
-design of ``repro.security.kernels``: the regular no-LLC fast path
+chains and one ``Request`` object per memory request. This module mirrors
+the design of ``repro.security.kernels``: the regular no-LLC fast path
 (post-LLC trace -> controller -> bank timings) is re-expressed as a fused
-interpreter over plain int tuples and parallel arrays, with the address
-decode for a lane's whole trace vectorized up front as numpy array
-programs (``KCipher.encrypt_array`` plus a vectorized Zen bit
-decomposition).
+interpreter over plain int tuples and parallel arrays. Both engines decode
+a lane's whole trace up front through the same vectorised
+:meth:`~repro.mapping.base.MemoryMapping.locate_array`
+(:func:`repro.cpu.system.decode_traces`).
 
 Bit-identity contract
 ---------------------
@@ -49,7 +48,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.autorfm import AutoRfmEngine
-from repro.mapping.rubix import RubixMapping
 from repro.mc.blockhammer import BlockHammerLimiter
 from repro.mc.setup import MitigationSetup, build_policy, build_tracker
 from repro.rfm.prac import PracModel, abo_threshold_for, prac_timing
@@ -133,37 +131,6 @@ def _lane_block_reason(
     return None
 
 
-def _decode_locations(config: SystemConfig, mapping, addrs: np.ndarray):
-    """Vectorized ``mapping.locate`` for a whole trace: (rows, flat_banks).
-
-    Mirrors :meth:`repro.mapping.base.MemoryMapping._decompose` on int64
-    arrays; Rubix lanes run the address cipher through
-    :meth:`KCipher.encrypt_array` (element-wise identical to the scalar
-    cipher, cycle-walking included).
-    """
-    if addrs.size and (
-        int(addrs.min()) < 0 or int(addrs.max()) >= config.total_lines
-    ):
-        # The scalar path raises from locate() mid-run; keep that exact
-        # behavior by handing the lane to the oracle.
-        raise _Fallback("address-range")
-    if isinstance(mapping, RubixMapping):
-        scrambled = mapping.cipher.encrypt_array(addrs)
-    else:
-        scrambled = addrs
-    lines_per_row = config.lines_per_row
-    banks = config.banks_per_subchannel
-    nsc = config.num_subchannels
-    offset = scrambled % lines_per_row
-    page = scrambled // lines_per_row
-    bank = (offset >> 1) % banks
-    subchannel = page % nsc
-    page = page // nsc
-    row = page // banks
-    flat = subchannel * banks + bank
-    return row.tolist(), flat.tolist()
-
-
 # Kernel state is transient by design: checkpoint-enabled lanes route to
 # the scalar oracle (_lane_block_reason), so a kernel never needs to be
 # captured mid-run.
@@ -190,10 +157,10 @@ class _LaneKernel:  # repro: lint-ignore[CKPT001]
         self.config = config
         self.events = 0
 
-        # Same mapping construction (and rubix key derivation) as
-        # cpu.system.build_mapping; imported lazily to keep this module
-        # importable before repro.cpu.
-        from repro.cpu.system import build_mapping
+        # Same mapping construction (and rubix key derivation) and the same
+        # one-pass trace decode as cpu.system; imported lazily to keep this
+        # module importable before repro.cpu.
+        from repro.cpu.system import build_mapping, decode_traces
 
         mapping = build_mapping(lane.mapping, config, lane.seed)
         self.extra_latency = mapping.extra_latency
@@ -296,7 +263,6 @@ class _LaneKernel:  # repro: lint-ignore[CKPT001]
         self.core_writes: List[List[bool]] = []
         self.tail_cycles: List[int] = []
         self.totals: List[int] = []
-        addr_arrays = []
         for trace in lane.traces:
             gaps = np.asarray(trace.gaps, dtype=np.int64)
             n = len(trace)
@@ -311,22 +277,16 @@ class _LaneKernel:  # repro: lint-ignore[CKPT001]
             self.totals.append(
                 (int(seq_arr[-1]) if n else 0) + trace.tail_instructions
             )
-            addr_arrays.append(np.asarray(trace.addrs, dtype=np.int64))
 
         # One vectorized address decode for the lane's whole trace set.
-        concat = (
-            np.concatenate(addr_arrays)
-            if addr_arrays
-            else np.empty(0, dtype=np.int64)
-        )
-        rows_all, flats_all = _decode_locations(config, mapping, concat)
-        self.core_rows: List[List[int]] = []
-        self.core_flats: List[List[int]] = []
-        pos = 0
-        for n in self.core_n:
-            self.core_rows.append(rows_all[pos:pos + n])
-            self.core_flats.append(flats_all[pos:pos + n])
-            pos += n
+        try:
+            self.core_rows, self.core_flats = decode_traces(
+                mapping, lane.traces
+            )
+        except ValueError:
+            # Out-of-range address: the scalar path raises the same error
+            # at system construction, so hand the lane to it.
+            raise _Fallback("address-range") from None
 
     # ------------------------------------------------------------------
     def run(self):
@@ -706,7 +666,7 @@ class _LaneKernel:  # repro: lint-ignore[CKPT001]
             mshrs=mshrs,
             OP_ISSUE_FIRED=_OP_ISSUE_FIRED,
         ):
-            # Inlined Core._try_issue + _dispatch + _advance_retirement +
+            # Inlined Core._try_issue + _advance_retirement +
             # _maybe_finish. The while/else mirrors the scalar control
             # flow: stall returns (break) skip the final _maybe_finish,
             # a natural exit (all instructions dispatched) runs it.

@@ -8,7 +8,6 @@ at that granularity (tRC = 48 ns = 192 cycles, tRFM = 205 ns = 820 cycles).
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,32 +22,8 @@ CYCLES_PER_NS = CPU_FREQ_GHZ  # 4 GHz -> 4 cycles per nanosecond
 # in sim-critical code): an env var read in a hot path is an input the
 # result-cache key and snapshot metadata never see. Orchestration-level
 # knobs (REPRO_JOBS, REPRO_CACHE_*) live with the analysis runner, which
-# is not sim-critical by construction.
-
-#: Default bound of the per-channel ``locate`` memo (entries, i.e. distinct
-#: hot line addresses; 64Ki entries ~ a few MB of dict overhead).
-DEFAULT_LOCATE_CACHE = 1 << 16
-
-
-def locate_cache_capacity() -> int:
-    """``REPRO_LOCATE_CACHE`` env var (entries); 0 disables the memo.
-
-    The memo only caches the pure line->location mapping, so the capacity
-    can never change simulated behaviour — but the read still lives here,
-    in the env home, where every configuration input is auditable.
-    """
-    raw = os.environ.get("REPRO_LOCATE_CACHE")
-    if raw is None:
-        return DEFAULT_LOCATE_CACHE
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_LOCATE_CACHE must be an integer >= 0, got {raw!r}"
-        ) from None
-    if cap < 0:
-        raise ValueError(f"REPRO_LOCATE_CACHE must be >= 0, got {cap}")
-    return cap
+# is not sim-critical by construction. No simulator knob reads the
+# environment today.
 
 
 def ns_to_cycles(ns: float) -> int:

@@ -1,5 +1,6 @@
 """Tests for the Zen and Rubix memory mappings."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +131,38 @@ class TestRubixMapping:
             key = (loc.subchannel, loc.bank, loc.row, loc.column)
             assert key not in seen
             seen.add(key)
+
+
+class TestLocateArray:
+    """The one-pass trace decode agrees with per-address ``locate``."""
+
+    SMALL = SystemConfig(
+        num_cores=2, num_subchannels=2, banks_per_subchannel=4,
+        rows_per_bank=4096, subarrays_per_bank=16,
+    )
+
+    @pytest.mark.parametrize("config", [CONFIG, SMALL])
+    @pytest.mark.parametrize("mapping_cls", [ZenMapping, RubixMapping])
+    def test_matches_locate(self, config, mapping_cls):
+        mapping = mapping_cls(config)
+        total = config.total_lines
+        rng = np.random.default_rng(11)
+        addrs = [0, 1, 63, 64, total - 1] + rng.integers(
+            0, total, 2000
+        ).tolist()
+        rows, flat_banks = mapping.locate_array(addrs)
+        banks = config.banks_per_subchannel
+        expected = [
+            (loc.row, loc.flat_bank(banks))
+            for loc in map(mapping.locate, addrs)
+        ]
+        assert list(zip(rows.tolist(), flat_banks.tolist())) == expected
+
+    def test_empty(self):
+        rows, flat_banks = RubixMapping(CONFIG).locate_array([])
+        assert rows.size == flat_banks.size == 0
+
+    @pytest.mark.parametrize("bad", [-1, LINES, LINES + 5])
+    def test_names_first_bad_address(self, bad):
+        with pytest.raises(ValueError, match=f"line address {bad} outside"):
+            ZenMapping(CONFIG).locate_array([0, 5, bad, -7])

@@ -1,7 +1,10 @@
 """End-to-end tests of repro.simulate with the small configuration."""
 
+import re
+
 import pytest
 
+import repro.cpu.system as system_module
 from repro import MitigationSetup, simulate
 from repro.cpu.system import build_mapping
 from repro.mapping import RubixMapping, ZenMapping
@@ -109,6 +112,47 @@ class TestSimulate:
         traces = make_traces(small_config)[:-1]
         with pytest.raises(ValueError, match="one per core"):
             simulate(traces, MitigationSetup("none"), small_config)
+
+
+class TestOutOfRangeTraces:
+    """A trace address outside the mapping's domain fails up front.
+
+    Each trace is decoded once at system construction, so a bad address
+    raises the mapping's ``ValueError`` before the first event runs, no
+    matter how late in the trace it sits. The batch backend hands such a
+    lane to the scalar path, which raises the same error.
+    """
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        built = []
+
+        class RecordingEngine(system_module.Engine):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(system_module, "Engine", RecordingEngine)
+        return built
+
+    @pytest.mark.parametrize("backend", ["scalar", "batch"])
+    @pytest.mark.parametrize("mapping", ["zen", "rubix"])
+    @pytest.mark.parametrize("where", ["above", "negative"])
+    def test_raises_before_first_event(
+        self, small_config, engines, backend, mapping, where
+    ):
+        traces = make_traces(small_config, n=200)
+        bad = small_config.total_lines if where == "above" else -3
+        traces[1].addrs[150] = bad
+        message = re.escape(
+            f"line address {bad} outside [0, {small_config.total_lines})"
+        )
+        with pytest.raises(ValueError, match=message):
+            simulate(
+                traces, MitigationSetup("autorfm", threshold=4),
+                small_config, mapping, backend=backend,
+            )
+        assert all(engine.events_processed == 0 for engine in engines)
 
 
 class TestBuildMapping:
