@@ -17,7 +17,6 @@ from repro.analysis.runner import (
     Job,
     ResultCache,
     SecurityJob,
-    security_job_key,
 )
 from repro.analysis.export import result_record, to_csv, to_json, write_records
 from repro.analysis.model import (
@@ -38,7 +37,6 @@ __all__ = [
     "Job",
     "ResultCache",
     "SecurityJob",
-    "security_job_key",
     "average",
     "run_many",
     "run_workload",

@@ -4,23 +4,23 @@ Every paper figure is an average over many independent ``(workload, setup,
 mapping, seed)`` simulations. This module gives the benchmark suite, the
 examples, and the CLI one shared way to run those sweeps:
 
-* **Parallel fan-out** — :meth:`ExperimentRunner.run_many` distributes
-  independent simulations across a :class:`~concurrent.futures.\
+* **Parallel fan-out** — :meth:`ExperimentRunner.run_jobs` distributes
+  independent jobs across a :class:`~concurrent.futures.\
 ProcessPoolExecutor`. The worker count comes from ``REPRO_JOBS`` (default
   ``os.cpu_count()``); ``REPRO_JOBS=1`` keeps everything in-process, which
   is the right mode for debugging and for pdb/profiling sessions.
 * **Persistent caching** — results are stored as JSON under
   ``benchmarks/results/.cache/`` (override with ``REPRO_CACHE_DIR``,
-  disable with ``REPRO_CACHE=0``), keyed by a stable SHA-256 hash of the
-  workload, :class:`~repro.mc.setup.MitigationSetup`,
-  :class:`~repro.sim.config.SystemConfig`, mapping, request count, seed,
-  and a schema version. Bumping :data:`CACHE_SCHEMA_VERSION` invalidates
-  every stale entry at once.
+  disable with ``REPRO_CACHE=0``), keyed by the stable SHA-256 hash
+  :meth:`repro.jobs.JobSpec.key` derives from the job's fields, the
+  :class:`~repro.sim.config.SystemConfig`, the request slice, and a
+  schema version. Bumping :data:`CACHE_SCHEMA_VERSION` invalidates every
+  stale entry at once.
 
 Determinism: a simulation is a pure function of its job description — each
 worker builds its own :class:`~repro.sim.engine.Engine` and
 :class:`~repro.sim.rng.RngStreams` from the job seed — so parallel results
-are bit-identical to serial results, and ``run_many`` preserves job order.
+are bit-identical to serial results, and ``run_jobs`` preserves job order.
 """
 
 from __future__ import annotations
@@ -31,35 +31,30 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union,
+)
 
 from repro.cpu.system import MAPPINGS, SimulationResult, simulate
+from repro.jobs import (  # noqa: F401 - schema versions re-exported
+    CACHE_SCHEMA_VERSION,
+    JOB_WIRE_SCHEMA_VERSION,
+    KEY_BLIND,
+    JobSpec,
+    RunContext,
+    check_attack_fields,
+    keyed_when,
+    resolved_from,
+    run_job,
+)
 from repro.mc.setup import MitigationSetup
 from repro.obs import ObsConfig, ObsResult, Observability, PhaseProfiler
-from repro.security.campaign import CampaignJob, run_campaign_cell
+from repro.security.campaign import CampaignJob
 from repro.sim.config import SystemConfig
 from repro.sim.stats import BankStats, CoreStats, SimStats
 from repro.workloads.catalog import WORKLOADS
 from repro.workloads.rate import make_rate_traces
-
-#: Bump when the simulator's observable behaviour changes (new stats
-#: fields, timing fixes, ...): every existing cache entry self-invalidates
-#: because the version participates in the cache key.
-#:
-#: v2: the observed engine drain samples heap depth on a persistent
-#: lifetime event ordinal (so checkpoint-segmented drains sample exactly
-#: like straight ones), which moved the sampling points of observed runs.
-CACHE_SCHEMA_VERSION = 2
-
-#: Schema version of the *job wire format* — the plain-JSON form a
-#: :class:`Job` / :class:`SecurityJob` takes when it travels out of
-#: process (to the ``repro.svc`` sweep daemon, or any other scheduler).
-#: Distinct from :data:`CACHE_SCHEMA_VERSION` on purpose: the cache
-#: schema names result *artifacts*, the wire schema names job
-#: *descriptions*. Bump whenever a field changes meaning in a way an old
-#: daemon would silently misread.
-JOB_WIRE_SCHEMA_VERSION = 1
 
 DEFAULT_SEED = 1
 
@@ -109,7 +104,7 @@ def cache_enabled() -> bool:
 
 
 @dataclass(frozen=True)
-class Job:
+class Job(JobSpec):
     """One independent simulation: what to run, not how to run it.
 
     ``obs`` opts the run into observability (metrics and/or tracing); the
@@ -118,29 +113,35 @@ class Job:
     observed result is a different artifact than a bare one).
     """
 
+    kind = "sim"
+    section = "result"
+    flat_key = True
+    profile_counters = ("jobs", "unique_jobs", "executed")
+
     workload: str
     setup: MitigationSetup = MitigationSetup("none")
     mapping: str = "zen"
-    requests: Optional[int] = None  # None -> the runner's default slice
+    #: None -> the runner's default slice (the resolved count is keyed).
+    requests: Optional[int] = field(
+        default=None, metadata=resolved_from("requests")
+    )
     seed: int = DEFAULT_SEED
-    obs: Optional[ObsConfig] = None
+    #: Keyed only when set, so every pre-observability cache entry stays
+    #: addressable under its original hash.
+    obs: Optional[ObsConfig] = field(default=None, metadata=keyed_when("obs"))
     #: Segment length in cycles for resumable execution: the simulation
     #: pauses at every multiple and snapshots into the result cache, so a
     #: killed sweep restarts from the last boundary instead of cycle 0.
-    #: Excluded from the cache key on purpose — segmentation is an
-    #: execution strategy, not part of the simulation's identity, and the
-    #: results are bit-identical either way.
-    segment_cycles: Optional[int] = None  # repro: key-blind[segment_cycles]
+    #: Segmentation is an execution strategy, not part of the simulation's
+    #: identity: the results are bit-identical either way.
+    segment_cycles: Optional[int] = field(default=None, metadata=KEY_BLIND)
     #: Timing backend: "scalar" (the event-loop oracle) or "batch" (the
     #: fused kernel in :mod:`repro.sim.batch`, which transparently falls
-    #: back to scalar for runs it does not model). Like ``segment_cycles``
-    #: — and like :attr:`SecurityJob.backend` — this is an execution
-    #: strategy, not part of the simulation's identity, so it is excluded
-    #: from the cache key: both backends produce bit-identical results
-    #: (proven by the differential suite), and a result computed by either
-    #: answers for both. Segmented jobs always run scalar (the kernel does
-    #: not checkpoint).
-    backend: str = "scalar"  # repro: key-blind[backend]
+    #: back to scalar for runs it does not model). Both backends produce
+    #: bit-identical results (proven by the differential suite), so a
+    #: result computed by either answers for both. Segmented jobs always
+    #: run scalar (the kernel does not checkpoint).
+    backend: str = field(default="scalar", metadata=KEY_BLIND)
 
     def __post_init__(self):
         if self.workload not in WORKLOADS:
@@ -158,6 +159,37 @@ class Job:
                 f"unknown backend {self.backend!r}; "
                 f"expected one of ('scalar', 'batch')"
             )
+
+    def execute(self, key: str, context: RunContext) -> SimulationResult:
+        """Simulate this job. Traces are regenerated from the seed (cheaper
+        than pickling them, and identical by construction); observability
+        travels as the picklable :class:`ObsConfig` and its deterministic
+        outputs return on ``result.obs``. With a segment length and a
+        cache directory to snapshot into, the run is checkpointed
+        (:func:`_execute_segmented`); otherwise it runs straight through
+        on ``backend``."""
+        requests = (
+            self.requests if self.requests is not None else context.requests
+        )
+        if self.segment_cycles is not None and context.cache_dir is not None:
+            return _execute_segmented(self, requests, key, context)
+        traces = make_rate_traces(
+            WORKLOADS[self.workload], context.config, requests=requests,
+            seed=self.seed,
+        )
+        obs = Observability(self.obs) if self.obs is not None else None
+        return simulate(
+            traces, self.setup, context.config, mapping=self.mapping,
+            seed=self.seed, obs=obs, backend=self.backend,
+        )
+
+    @classmethod
+    def encode_result(cls, value: SimulationResult) -> dict:
+        return result_to_dict(value)
+
+    @classmethod
+    def decode_result(cls, raw: dict) -> SimulationResult:
+        return result_from_dict(raw)
 
 
 # ----------------------------------------------------------------------
@@ -208,159 +240,6 @@ def result_from_dict(data: dict) -> SimulationResult:
         seed=data["seed"],
         obs=ObsResult(**obs) if obs is not None else None,
     )
-
-
-# ----------------------------------------------------------------------
-# Job wire format — jobs as explicit, versioned JSON payloads.
-#
-# The sweep-service daemon (``repro.svc``) receives job descriptions from
-# arbitrary clients over a socket; those payloads must be self-describing
-# (``kind`` + ``schema``) and must round-trip through JSON losslessly, so
-# a daemon-executed job computes the *same cache key* as an in-process
-# one. The differential suite in tests/test_svc_service.py rests on that.
-# ----------------------------------------------------------------------
-def _check_wire(data: dict, kind: str) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(f"job wire payload must be an object, got {type(data).__name__}")
-    if data.get("kind") != kind:
-        raise ValueError(f"expected a {kind!r} job payload, got kind={data.get('kind')!r}")
-    schema = data.get("schema")
-    if schema != JOB_WIRE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported job wire schema {schema!r} "
-            f"(this build speaks {JOB_WIRE_SCHEMA_VERSION})"
-        )
-
-
-def job_to_wire(job: Job) -> dict:
-    """Versioned plain-JSON form of a simulation :class:`Job`."""
-    return {
-        "kind": "sim",
-        "schema": JOB_WIRE_SCHEMA_VERSION,
-        "workload": job.workload,
-        "setup": dataclasses.asdict(job.setup),
-        "mapping": job.mapping,
-        "requests": job.requests,
-        "seed": job.seed,
-        "obs": dataclasses.asdict(job.obs) if job.obs is not None else None,
-        "segment_cycles": job.segment_cycles,
-        "backend": job.backend,
-    }
-
-
-def job_from_wire(data: dict) -> Job:
-    """Inverse of :func:`job_to_wire`; validates kind and schema version."""
-    _check_wire(data, "sim")
-    obs = data.get("obs")
-    return Job(
-        workload=data["workload"],
-        setup=MitigationSetup(**data["setup"]),
-        mapping=data["mapping"],
-        requests=data.get("requests"),
-        seed=data.get("seed", DEFAULT_SEED),
-        obs=ObsConfig(**obs) if obs is not None else None,
-        segment_cycles=data.get("segment_cycles"),
-        backend=data.get("backend", "scalar"),
-    )
-
-
-def security_job_to_wire(job: "SecurityJob") -> dict:
-    """Versioned plain-JSON form of a :class:`SecurityJob`."""
-    fields = dataclasses.asdict(job)
-    fields["rows"] = list(job.rows)
-    fields["scenario_params"] = [list(p) for p in job.scenario_params]
-    fields.update(kind="security", schema=JOB_WIRE_SCHEMA_VERSION)
-    return fields
-
-
-def security_job_from_wire(data: dict) -> "SecurityJob":
-    """Inverse of :func:`security_job_to_wire`."""
-    _check_wire(data, "security")
-    fields = {
-        k: v for k, v in data.items() if k not in ("kind", "schema")
-    }
-    unknown = set(fields) - {f.name for f in dataclasses.fields(SecurityJob)}
-    if unknown:
-        raise ValueError(f"unknown SecurityJob wire fields: {sorted(unknown)}")
-    fields["rows"] = tuple(fields.get("rows", ()))
-    fields["scenario_params"] = tuple(
-        (str(name), int(value))
-        for name, value in fields.get("scenario_params", ())
-    )
-    return SecurityJob(**fields)
-
-
-def campaign_job_to_wire(job: "CampaignJob") -> dict:
-    """Versioned plain-JSON form of a threshold-campaign cell job."""
-    fields = dataclasses.asdict(job)
-    fields["rows"] = list(job.rows)
-    fields["scenario_params"] = [list(p) for p in job.scenario_params]
-    fields.update(kind="campaign", schema=JOB_WIRE_SCHEMA_VERSION)
-    return fields
-
-
-def campaign_job_from_wire(data: dict) -> "CampaignJob":
-    """Inverse of :func:`campaign_job_to_wire`."""
-    _check_wire(data, "campaign")
-    fields = {
-        k: v for k, v in data.items() if k not in ("kind", "schema")
-    }
-    unknown = set(fields) - {f.name for f in dataclasses.fields(CampaignJob)}
-    if unknown:
-        raise ValueError(f"unknown CampaignJob wire fields: {sorted(unknown)}")
-    fields["rows"] = tuple(fields.get("rows", ()))
-    fields["scenario_params"] = tuple(
-        (str(name), int(value))
-        for name, value in fields.get("scenario_params", ())
-    )
-    return CampaignJob(**fields)
-
-
-def any_job_to_wire(job: Union[Job, "SecurityJob", "CampaignJob"]) -> dict:
-    """Wire form of any job flavour (dispatch on the dataclass)."""
-    if isinstance(job, Job):
-        return job_to_wire(job)
-    if isinstance(job, SecurityJob):
-        return security_job_to_wire(job)
-    if isinstance(job, CampaignJob):
-        return campaign_job_to_wire(job)
-    raise TypeError(f"not a runner job: {type(job).__name__}")
-
-
-def any_job_from_wire(data: dict) -> Union[Job, "SecurityJob", "CampaignJob"]:
-    """Decode any job flavour (dispatch on the ``kind`` field)."""
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "sim":
-        return job_from_wire(data)
-    if kind == "security":
-        return security_job_from_wire(data)
-    if kind == "campaign":
-        return campaign_job_from_wire(data)
-    raise ValueError(f"unknown job wire kind {kind!r}")
-
-
-def job_key(
-    job: Job,
-    config: SystemConfig,
-    requests: int,
-    schema_version: int = CACHE_SCHEMA_VERSION,
-) -> str:
-    """Stable content hash identifying one simulation's full input."""
-    payload = {
-        "schema": schema_version,
-        "workload": job.workload,
-        "setup": dataclasses.asdict(job.setup),
-        "config": dataclasses.asdict(config),
-        "mapping": job.mapping,
-        "requests": requests,
-        "seed": job.seed,
-    }
-    if job.obs is not None:
-        # Only observed jobs carry the extra key, so every pre-observability
-        # cache entry stays addressable under its original hash.
-        payload["obs"] = dataclasses.asdict(job.obs)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 #: Suffix of segment snapshots stored alongside cached results (matches
@@ -568,8 +447,9 @@ class ResultCache:
         except OSError:
             pass
 
-    def get(self, key: str) -> Optional[SimulationResult]:
-        """Look up one result; None (a miss) if absent, corrupt, or stale.
+    def load(self, key: str, kind: Type[JobSpec]) -> Any:
+        """Look up one stored result of job class ``kind``; None (a miss)
+        if absent, corrupt, stale, or of another kind.
 
         A hit refreshes the file's mtime, which is what :meth:`prune`
         orders eviction by — entries that keep answering stay resident.
@@ -580,88 +460,54 @@ class ResultCache:
                 data = json.load(f)
             if data.get("schema") != self.schema_version:
                 raise ValueError("schema mismatch")
-            result = result_from_dict(data["result"])
+            value = kind.decode_result(data[kind.section])
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return value
+
+    def store(self, key: str, kind: Type[JobSpec], value: Any) -> None:
+        """Store one result of job class ``kind`` under ``key`` (atomic
+        rename, crash-safe)."""
+        os.makedirs(self.directory, exist_ok=True)
+        payload = {
+            "schema": self.schema_version,
+            kind.section: kind.encode_result(value),
+        }
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(payload, f, separators=(",", ":"))
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+
+    def get(self, key: str) -> Optional[SimulationResult]:
+        """Look up one simulation result (see :meth:`load`)."""
+        return self.load(key, Job)
 
     def put(self, key: str, result: SimulationResult) -> None:
-        """Store one result under ``key`` (atomic rename, crash-safe)."""
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {"schema": self.schema_version, "result": result_to_dict(result)}
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(payload, f, separators=(",", ":"))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def get_campaign(self, key: str) -> Optional[dict]:
-        """Look up one campaign cell record (the bisection's full result)."""
-        self._touch(key)
-        try:
-            with open(self._path(key)) as f:
-                data = json.load(f)
-            if data.get("schema") != self.schema_version:
-                raise ValueError("schema mismatch")
-            raw = data["campaign"]
-            if not isinstance(raw, dict):
-                raise ValueError("malformed campaign entry")
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return raw
-
-    def put_campaign(self, key: str, result: dict) -> None:
-        """Store one campaign cell record under ``key`` (atomic)."""
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {"schema": self.schema_version, "campaign": result}
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(payload, f, separators=(",", ":"))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Store one simulation result (see :meth:`store`)."""
+        self.store(key, Job, result)
 
     def get_security(self, key: str) -> Optional[List[dict]]:
         """Look up one security batch (list of per-seed stat dicts)."""
-        self._touch(key)
-        try:
-            with open(self._path(key)) as f:
-                data = json.load(f)
-            if data.get("schema") != self.schema_version:
-                raise ValueError("schema mismatch")
-            raw = data["security"]
-            if not isinstance(raw, list):
-                raise ValueError("malformed security entry")
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return raw
+        return self.load(key, SecurityJob)
 
     def put_security(self, key: str, results: List[dict]) -> None:
-        """Store one security batch under ``key`` (atomic, crash-safe)."""
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {"schema": self.schema_version, "security": results}
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(payload, f, separators=(",", ":"))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Store one security batch under ``key``."""
+        self.store(key, SecurityJob, results)
+
+    def get_campaign(self, key: str) -> Optional[dict]:
+        """Look up one campaign cell record (the bisection's full result)."""
+        return self.load(key, CampaignJob)
+
+    def put_campaign(self, key: str, result: dict) -> None:
+        """Store one campaign cell record under ``key``."""
+        self.store(key, CampaignJob, result)
 
     def __len__(self) -> int:
         try:
@@ -689,42 +535,13 @@ class ResultCache:
         return removed
 
 
-# Worker entry point: must be a module-level function so the process pool
-# can pickle it. The payload carries everything a simulation needs; traces
-# are regenerated inside the worker from the seed (cheaper than pickling
-# them, and identical by construction). Observability travels as the
-# (picklable) ObsConfig; the live Observability object is built in the
-# worker and its deterministic outputs return on ``result.obs``. The
-# ``ckpt`` element is a segmentation spec (or None for a straight run);
-# ``backend`` picks the timing backend for straight runs (segmented runs
-# are always scalar — the fused kernel does not checkpoint).
-def _execute(
-    payload: Tuple[
-        str, MitigationSetup, str, int, int, SystemConfig, Optional[ObsConfig],
-        Optional[dict], str,
-    ]
-):
-    (workload, setup, mapping, requests, seed, config, obs_config, ckpt,
-     backend) = payload
-    if ckpt is not None:
-        return _execute_segmented(payload)
-    traces = make_rate_traces(
-        WORKLOADS[workload], config, requests=requests, seed=seed
-    )
-    obs = Observability(obs_config) if obs_config is not None else None
-    return simulate(
-        traces, setup, config, mapping=mapping, seed=seed, obs=obs,
-        backend=backend,
-    )
-
-
 def latest_segment_snapshot(cache: ResultCache, key: str):
     """Newest loadable segment snapshot for ``key`` (corrupt ones skipped).
 
     This is the resume-from-segment API: segmented workers call it on
-    startup to skip completed work, and the sweep-service daemon calls it
-    after a worker dies to report (and resume from) the newest valid
-    restore point rather than re-running the shard from cycle 0.
+    startup to skip completed work, and the sweep-service daemon's retry
+    of a dead worker resumes through it from the newest valid restore
+    point rather than re-running the shard from cycle 0.
     """
     from repro.ckpt import SnapshotError, load_snapshot
 
@@ -736,50 +553,9 @@ def latest_segment_snapshot(cache: ResultCache, key: str):
     return None
 
 
-#: Backwards-compatible private alias (pre-service name).
-_latest_segment_snapshot = latest_segment_snapshot
-
-
-def build_sim_payload(
-    job: Job,
-    config: SystemConfig,
-    requests: int,
-    key: str,
-    cache_dir: Optional[str] = None,
-    schema_version: int = CACHE_SCHEMA_VERSION,
-    resume: bool = False,
-) -> tuple:
-    """The picklable worker payload for one simulation job.
-
-    Shared by :meth:`ExperimentRunner._payload` and the sweep-service
-    worker spawner, so a daemon-executed job is fed to :func:`_execute`
-    exactly as an in-process one would be. ``cache_dir=None`` disables
-    segment snapshots (the job degrades to a straight run).
-    """
-    resolved = job.requests if job.requests is not None else requests
-    ckpt = None
-    if job.segment_cycles is not None and cache_dir is not None:
-        ckpt = {
-            "segment_cycles": job.segment_cycles,
-            "resume": resume,
-            "cache_dir": cache_dir,
-            "key": key,
-            "schema": schema_version,
-        }
-    return (
-        job.workload,
-        job.setup,
-        job.mapping,
-        resolved,
-        job.seed,
-        config,
-        job.obs,
-        ckpt,
-        job.backend,
-    )
-
-
-def _execute_segmented(payload: tuple) -> SimulationResult:
+def _execute_segmented(
+    job: Job, requests: int, key: str, context: RunContext
+) -> SimulationResult:
     """Run one job in checkpointed segments, resuming if a snapshot exists.
 
     Each boundary snapshot lands in the result cache next to the job's
@@ -788,30 +564,29 @@ def _execute_segmented(payload: tuple) -> SimulationResult:
     boundary. Results are bit-identical to a straight run — segmentation
     changes when the simulation pauses, never what it computes.
     """
-    (workload, setup, mapping, requests, seed, config, obs_config, ckpt,
-     _backend) = payload
     # Imported lazily: the checkpoint layer loads the whole simulator and
     # straight (non-segmented) runs must not pay for it.
     from repro.ckpt import capture, restore, save_snapshot
     from repro.cpu.system import SimulatedSystem
 
-    cache = ResultCache(ckpt["cache_dir"], ckpt["schema"])
-    key = ckpt["key"]
+    cache = ResultCache(context.cache_dir, context.schema_version)
 
     system = None
     resumed_from = None
-    if ckpt["resume"]:
-        snapshot = _latest_segment_snapshot(cache, key)
+    if context.resume:
+        snapshot = latest_segment_snapshot(cache, key)
         if snapshot is not None:
             system = restore(snapshot)
             resumed_from = snapshot.boundary
     if system is None:
         traces = make_rate_traces(
-            WORKLOADS[workload], config, requests=requests, seed=seed
+            WORKLOADS[job.workload], context.config, requests=requests,
+            seed=job.seed,
         )
-        obs = Observability(obs_config) if obs_config is not None else None
+        obs = Observability(job.obs) if job.obs is not None else None
         system = SimulatedSystem(
-            traces, setup, config, mapping=mapping, seed=seed, obs=obs
+            traces, job.setup, context.config, mapping=job.mapping,
+            seed=job.seed, obs=obs,
         )
         system.start()
 
@@ -827,7 +602,7 @@ def _execute_segmented(payload: tuple) -> SimulationResult:
         captured += 1
 
     result = system.run(
-        checkpoint_every=ckpt["segment_cycles"], on_checkpoint=on_checkpoint
+        checkpoint_every=job.segment_cycles, on_checkpoint=on_checkpoint
     )
     result.ckpt = {"captured": captured, "resumed_from": resumed_from}
     return result
@@ -836,13 +611,8 @@ def _execute_segmented(payload: tuple) -> SimulationResult:
 # ----------------------------------------------------------------------
 # Security batch jobs (vectorized Monte-Carlo attack replays)
 # ----------------------------------------------------------------------
-_SECURITY_ATTACKS = ("round_robin", "single_sided", "double_sided", "half_double")
-_SECURITY_TRACKERS = ("mint", "mint-transitive", "graphene", "para")
-_SECURITY_POLICIES = ("fractal", "blast")
-
-
 @dataclass(frozen=True)
-class SecurityJob:
+class SecurityJob(JobSpec):
     """One batched Monte-Carlo attack replay: S seeds x one pattern.
 
     Mirrors :class:`Job` for the security kernels
@@ -856,6 +626,11 @@ class SecurityJob:
     per-row pressure maps (large, and derivable by re-running); results
     returned through the runner therefore always have ``pressure == {}``.
     """
+
+    kind = "security"
+    section = "security"
+    result_type = list
+    profile_counters = ("security_jobs", None, "security_executed")
 
     attack: str = "double_sided"
     rows: Tuple[int, ...] = (70_000,)
@@ -875,86 +650,77 @@ class SecurityJob:
     #: (:func:`repro.payload.compile_scenario` under the ``acts`` budget),
     #: and the scenario's name, manifest version, and parameters all enter
     #: the cache key — a corpus version bump re-executes instead of
-    #: answering from entries computed against the old payload.
-    scenario: Optional[str] = None
+    #: answering from entries computed against the old payload. Scenario
+    #: fields are keyed only when a scenario is set, so every pre-corpus
+    #: cache entry stays addressable under its original hash.
+    scenario: Optional[str] = field(
+        default=None, metadata=keyed_when("scenario")
+    )
     #: Manifest version of ``scenario``; auto-filled at construction. Pass
     #: it explicitly only to assert an expected corpus version.
-    scenario_version: Optional[str] = None
+    scenario_version: Optional[str] = field(
+        default=None, metadata=keyed_when("scenario")
+    )
     #: Placeholder overrides, normalized to sorted ``(name, value)`` pairs
     #: (hashable and deterministic key material). A plain dict is accepted
     #: and normalized.
-    scenario_params: Tuple[Tuple[str, int], ...] = ()
-    backend: str = "numpy"  # repro: key-blind[backend]
+    scenario_params: Tuple[Tuple[str, int], ...] = field(
+        default=(), metadata=keyed_when("scenario")
+    )
+    backend: str = field(default="numpy", metadata=KEY_BLIND)
 
     def __post_init__(self):
-        if self.scenario is not None:
-            from repro.payload import load_scenario
-
-            meta = load_scenario(self.scenario)
-            if self.scenario_version is None:
-                object.__setattr__(self, "scenario_version", meta.version)
-            elif self.scenario_version != meta.version:
-                raise ValueError(
-                    f"scenario {self.scenario!r} is version {meta.version} "
-                    f"in the corpus, not {self.scenario_version!r}"
-                )
-            declared = dict(meta.params)
-            raw = (
-                self.scenario_params.items()
-                if isinstance(self.scenario_params, dict)
-                else self.scenario_params
-            )
-            normalized = tuple(sorted((str(k), int(v)) for k, v in raw))
-            for name, _ in normalized:
-                if name not in declared:
-                    raise ValueError(
-                        f"scenario {self.scenario!r} declares no parameter "
-                        f"{name!r} (has {sorted(declared)})"
-                    )
-            object.__setattr__(self, "scenario_params", normalized)
-        elif self.scenario_version is not None or self.scenario_params:
-            raise ValueError(
-                "scenario_version/scenario_params require a scenario"
-            )
-        if self.attack not in _SECURITY_ATTACKS:
-            raise ValueError(
-                f"unknown attack {self.attack!r}; expected one of "
-                f"{_SECURITY_ATTACKS}"
-            )
-        if self.tracker not in _SECURITY_TRACKERS:
-            raise ValueError(
-                f"unknown tracker {self.tracker!r}; expected one of "
-                f"{_SECURITY_TRACKERS}"
-            )
-        if self.policy not in _SECURITY_POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected one of "
-                f"{_SECURITY_POLICIES}"
-            )
-        if self.backend not in ("numpy", "scalar"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        check_attack_fields(self)
         if not self.rows:
             raise ValueError("rows must name at least one row")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
 
+    def execute(self, key: str, context: RunContext) -> List[dict]:
+        """Replay this batch; returns the per-seed summary dicts.
 
-def security_job_key(
-    job: SecurityJob, schema_version: int = CACHE_SCHEMA_VERSION
-) -> str:
-    """Stable content hash of a security job (``backend`` excluded: both
-    backends produce the identical artifact)."""
-    fields = dataclasses.asdict(job)
-    fields.pop("backend")
-    if fields.get("scenario") is None:
-        # Only scenario jobs carry the corpus keys, so every pre-corpus
-        # cache entry stays addressable under its original hash.
-        fields.pop("scenario", None)
-        fields.pop("scenario_version", None)
-        fields.pop("scenario_params", None)
-    payload = {"schema": schema_version, "kind": "security", "job": fields}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        The pattern is regenerated inside the worker from the job fields
+        (same convention as simulation traces: cheaper than pickling,
+        identical by construction).
+        """
+        from repro.mapping.kcipher import KCipher
+        from repro.security.kernels import (
+            build_pattern,
+            policy_spec_from_string,
+            run_attack_batch,
+            tracker_spec_from_strings,
+        )
+
+        if self.scenario is not None:
+            from repro.payload import compile_scenario
+
+            pattern = list(
+                compile_scenario(
+                    self.scenario, params=dict(self.scenario_params),
+                    acts=self.acts,
+                ).rows
+            )
+        else:
+            pattern = build_pattern(self.attack, list(self.rows), self.acts)
+        cipher = (
+            KCipher(self.rows_per_bank, self.rubix_key)
+            if self.rubix_key is not None
+            else None
+        )
+        results = run_attack_batch(
+            [pattern],
+            tracker_spec_from_strings(self.tracker, self.window),
+            policy_spec_from_string(self.policy),
+            window=self.window,
+            seeds=self.seeds,
+            rows_per_bank=self.rows_per_bank,
+            blast_radius=self.blast_radius,
+            refresh_interval_acts=self.refresh_interval_acts,
+            row_cipher=cipher,
+            backend=self.backend,
+            collect_pressure=False,
+        )[0]
+        return _security_results_to_dicts(results)
 
 
 def _security_results_to_dicts(results) -> List[dict]:
@@ -974,95 +740,6 @@ def _security_results_from_dicts(raw: List[dict]):
     from repro.security.montecarlo import AttackResult
 
     return [AttackResult(**entry) for entry in raw]
-
-
-def _execute_security(job: SecurityJob) -> List[dict]:
-    """Worker entry point for one security batch (picklable, module-level).
-
-    The pattern is regenerated inside the worker from the job fields (same
-    convention as simulation traces: cheaper than pickling, identical by
-    construction).
-    """
-    from repro.mapping.kcipher import KCipher
-    from repro.security.kernels import (
-        build_pattern,
-        policy_spec_from_string,
-        run_attack_batch,
-        tracker_spec_from_strings,
-    )
-
-    if job.scenario is not None:
-        from repro.payload import compile_scenario
-
-        pattern = list(
-            compile_scenario(
-                job.scenario, params=dict(job.scenario_params), acts=job.acts
-            ).rows
-        )
-    else:
-        pattern = build_pattern(job.attack, list(job.rows), job.acts)
-    cipher = (
-        KCipher(job.rows_per_bank, job.rubix_key)
-        if job.rubix_key is not None
-        else None
-    )
-    results = run_attack_batch(
-        [pattern],
-        tracker_spec_from_strings(job.tracker, job.window),
-        policy_spec_from_string(job.policy),
-        window=job.window,
-        seeds=job.seeds,
-        rows_per_bank=job.rows_per_bank,
-        blast_radius=job.blast_radius,
-        refresh_interval_acts=job.refresh_interval_acts,
-        row_cipher=cipher,
-        backend=job.backend,
-        collect_pressure=False,
-    )[0]
-    return _security_results_to_dicts(results)
-
-
-# ----------------------------------------------------------------------
-# Threshold-campaign cells (SPRT bisection; see repro.security.campaign)
-# ----------------------------------------------------------------------
-def campaign_job_key(
-    job: CampaignJob, schema_version: int = CACHE_SCHEMA_VERSION
-) -> str:
-    """Stable content hash of a campaign cell.
-
-    ``backend`` is excluded (both kernel backends produce the identical
-    pool, hence the identical search). Everything else — including the
-    SPRT error bounds and ``max_chunk`` — is key material: a cell probed
-    under looser bounds is a different statistical artifact, and
-    ``max_chunk`` sets how far the pool overshoots the longest probe
-    (the record's ``seeds_spent``).
-    The scenario digest pins the compiled corpus payload, so a corpus
-    edit re-executes instead of answering from stale entries.
-    """
-    fields = dataclasses.asdict(job)
-    fields.pop("backend")
-    if fields.get("scenario") is None:
-        fields.pop("scenario", None)
-        fields.pop("scenario_version", None)
-        fields.pop("scenario_digest", None)
-        fields.pop("scenario_params", None)
-    payload = {"schema": schema_version, "kind": "campaign", "job": fields}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _execute_campaign(
-    payload: Tuple[CampaignJob, Optional[str], Optional[str]]
-) -> dict:
-    """Worker entry point for one campaign cell (picklable, module-level).
-
-    The payload carries ``(job, cache_dir, key)``: with a cache directory
-    the cell persists its seed-pool frontier there after every extension
-    and resumes from a surviving frontier, so a killed campaign re-invoked
-    with the same jobs picks up mid-bisection instead of from seed 0.
-    """
-    job, cache_dir, key = payload
-    return run_campaign_cell(job, cache_dir=cache_dir, key=key)
 
 
 #: A setup row for :meth:`ExperimentRunner.slowdown_matrix`:
@@ -1102,8 +779,6 @@ class ExperimentRunner:
             if use_cache
             else None
         )
-        #: Simulations actually executed (not answered from cache).
-        self.simulations_run = 0
         #: Wall-clock profile of every batch this runner served: phase
         #: timings ("plan" = dedup + cache lookup, "execute" = simulation
         #: fan-out) plus cumulative job/cache counts. Informational only —
@@ -1129,14 +804,30 @@ class ExperimentRunner:
     def cache_misses(self) -> int:
         return self.cache.misses if self.cache is not None else 0
 
-    def key_for(self, job: Job) -> str:
-        """This runner's cache key for ``job`` (resolving default requests)."""
-        return job_key(
-            job,
-            self.config,
-            job.requests if job.requests is not None else self.requests,
-            self.schema_version,
+    @property
+    def simulations_run(self) -> int:
+        """Simulations actually executed (not answered from cache)."""
+        return int(self.profile.counts.get("executed", 0))
+
+    def context(self, resume: bool = False) -> RunContext:
+        """The run context this runner keys and executes jobs under."""
+        return RunContext(
+            config=self.config,
+            requests=self.requests,
+            schema_version=self.schema_version,
+            # Segment snapshots and campaign frontiers persist into the
+            # result cache; without one the jobs run straight through.
+            cache_dir=self.cache.directory if self.cache is not None else None,
+            resume=resume,
         )
+
+    def key_for(self, job: JobSpec) -> str:
+        """This runner's cache key for ``job`` (resolving default requests)."""
+        return job.key(self.context())
+
+    #: Kind-specific spellings of :meth:`key_for`.
+    security_key_for = key_for
+    campaign_key_for = key_for
 
     def profile_snapshot(self) -> dict:
         """Wall-clock profile of this runner's batches, with provenance
@@ -1157,43 +848,61 @@ class ExperimentRunner:
         })
 
     # ------------------------------------------------------------------
-    def run(self, job: Job, resume: bool = False) -> SimulationResult:
-        """Run (or fetch) a single job."""
-        return self.run_many([job], resume=resume)[0]
+    def run_jobs(
+        self,
+        jobs: Iterable[JobSpec],
+        resume: bool = False,
+        kind: Optional[Type[JobSpec]] = None,
+    ) -> List[Any]:
+        """Run a batch of jobs of one kind; returns results in job order.
 
-    def run_many(
-        self, jobs: Sequence[Job], resume: bool = False
-    ) -> List[SimulationResult]:
-        """Run a batch of jobs; returns results in job order.
+        Duplicate jobs (every slowdown shares its workload's baseline, and
+        the two backends of one replay share a key) execute once; cache
+        hits never reach the pool. Misses fan out across ``self.jobs``
+        worker processes, one job per task (a security batch is already
+        vectorized over its seeds, and a campaign cell's probes are
+        sequential by construction, so the job is the parallel grain).
+        ``kind`` defaults to the first job's class; it names the profile
+        counters, so pass it for a batch that may be empty.
 
-        Duplicate jobs (every slowdown shares its workload's baseline) are
-        simulated once; cache hits never reach the pool. Misses fan out
-        across ``self.jobs`` worker processes.
-
-        ``resume=True`` lets jobs with ``segment_cycles`` restart from
-        their newest on-disk segment snapshot instead of cycle 0 — the
-        recovery path after a killed sweep. Jobs whose *result* is already
+        ``resume=True`` lets segmented simulations restart from their
+        newest on-disk segment snapshot instead of cycle 0 — the recovery
+        path after a killed sweep (campaign cells always resume from a
+        surviving seed-pool frontier). Jobs whose *result* is already
         cached are unaffected (the cache answers first).
         """
         jobs = list(jobs)
-        results: List[Optional[SimulationResult]] = [None] * len(jobs)
+        if kind is None:
+            if not jobs:
+                return []
+            kind = type(jobs[0])
+        context = self.context(resume)
+        results: List[Any] = [None] * len(jobs)
 
         with self.profile.phase("plan"):
             # Deduplicate by cache key, then answer what the cache can.
             order: List[str] = []  # unique keys, first-seen order
             indices: Dict[str, List[int]] = {}
-            payloads: Dict[str, tuple] = {}
+            by_key: Dict[str, JobSpec] = {}
             for i, job in enumerate(jobs):
-                key = self.key_for(job)
+                if not isinstance(job, kind):
+                    raise TypeError(
+                        f"a {kind.__name__} batch cannot hold a "
+                        f"{type(job).__name__}"
+                    )
+                key = job.key(context)
                 if key not in indices:
                     order.append(key)
                     indices[key] = []
-                    payloads[key] = self._payload(job, key, resume)
+                    by_key[key] = job
                 indices[key].append(i)
 
             pending: List[str] = []
             for key in order:
-                cached = self.cache.get(key) if self.cache is not None else None
+                cached = (
+                    self.cache.load(key, kind)
+                    if self.cache is not None else None
+                )
                 if cached is not None:
                     for i in indices[key]:
                         results[i] = cached
@@ -1201,27 +910,27 @@ class ExperimentRunner:
                     pending.append(key)
 
         with self.profile.phase("execute"):
-            executed = self._execute_batch(
-                [payloads[key] for key in pending]
+            executed = self._fan_out(
+                [(by_key[key], key, context) for key in pending]
             )
-        for key, result in zip(pending, executed):
+        for key, value in zip(pending, executed):
             if self.cache is not None:
-                self.cache.put(key, result)
+                self.cache.store(key, kind, value)
             for i in indices[key]:
-                results[i] = result
+                results[i] = value
 
-        self.profile.count("jobs", len(jobs))
-        self.profile.count("unique_jobs", len(order))
-        self.profile.count("executed", len(pending))
+        submitted, unique, done = kind.profile_counters
+        self.profile.count(submitted, len(jobs))
+        if unique is not None:
+            self.profile.count(unique, len(order))
+        self.profile.count(done, len(pending))
         self.profile.set_count("cache_hits", self.cache_hits)
         self.profile.set_count("cache_misses", self.cache_misses)
-        captures = sum(
-            r.ckpt["captured"] for r in executed if r.ckpt is not None
-        )
-        resumes = sum(
-            1 for r in executed
-            if r.ckpt is not None and r.ckpt["resumed_from"] is not None
-        )
+        ckpts = [
+            r.ckpt for r in executed if getattr(r, "ckpt", None) is not None
+        ]
+        captures = sum(c["captured"] for c in ckpts)
+        resumes = sum(1 for c in ckpts if c["resumed_from"] is not None)
         if captures:
             self.profile.count("ckpt_captures", captures)
         if resumes:
@@ -1229,38 +938,26 @@ class ExperimentRunner:
         if self.cache is not None:
             self.cache.prune_to_limit()
 
-        return results  # type: ignore[return-value]
+        return results
 
-    def _payload(self, job: Job, key: str, resume: bool = False) -> tuple:
-        # Segment snapshots are content-addressed into the result cache;
-        # without a cache there is nowhere to persist them, so the job
-        # degrades to a straight run (results are identical).
-        return build_sim_payload(
-            job,
-            self.config,
-            self.requests,
-            key,
-            cache_dir=self.cache.directory if self.cache is not None else None,
-            schema_version=self.schema_version,
-            resume=resume,
-        )
-
-    def _execute_batch(self, payloads: List[tuple]) -> List[SimulationResult]:
+    def _fan_out(self, payloads: List[tuple]) -> List[Any]:
         if not payloads:
             return []
-        self.simulations_run += len(payloads)
         workers = min(self.jobs, len(payloads))
         if workers <= 1:
-            return [_execute(p) for p in payloads]
+            return [run_job(p) for p in payloads]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_execute, payloads))
+            return list(pool.map(run_job, payloads))
 
-    # ------------------------------------------------------------------
-    # Security batches (vectorized Monte-Carlo attack replays)
-    # ------------------------------------------------------------------
-    def security_key_for(self, job: SecurityJob) -> str:
-        """This runner's cache key for a security batch (backend-blind)."""
-        return security_job_key(job, self.schema_version)
+    def run(self, job: Job, resume: bool = False) -> SimulationResult:
+        """Run (or fetch) a single simulation."""
+        return self.run_many([job], resume=resume)[0]
+
+    def run_many(
+        self, jobs: Sequence[Job], resume: bool = False
+    ) -> List[SimulationResult]:
+        """Run a batch of simulations (see :meth:`run_jobs`)."""
+        return self.run_jobs(jobs, resume, Job)
 
     def run_security(self, job: SecurityJob) -> List["AttackResult"]:
         """Run (or fetch) one security batch: per-seed attack results."""
@@ -1269,154 +966,25 @@ class ExperimentRunner:
     def run_security_many(
         self, jobs: Sequence[SecurityJob]
     ) -> List[List["AttackResult"]]:
-        """Run security batches; returns per-job lists of per-seed results.
-
-        Same shape as :meth:`run_many`: duplicates (and scalar/numpy twins
-        of the same job — the backend is not part of the key) collapse to
-        one execution, cache hits never reach the pool, and misses fan out
-        across ``REPRO_JOBS`` workers one *batch* per worker (each batch is
-        already vectorized over its seeds, so the job is the right
-        parallel grain). Results carry ``pressure == {}``; use
+        """Run security batches (see :meth:`run_jobs`); returns per-job
+        lists of per-seed results with ``pressure == {}`` — use
         :func:`repro.security.kernels.run_attack_batch` directly when the
-        per-row pressure map matters.
-        """
-        jobs = list(jobs)
-        results: List[Optional[List[dict]]] = [None] * len(jobs)
-
-        with self.profile.phase("plan"):
-            order: List[str] = []
-            indices: Dict[str, List[int]] = {}
-            by_key: Dict[str, SecurityJob] = {}
-            for i, job in enumerate(jobs):
-                key = self.security_key_for(job)
-                if key not in indices:
-                    order.append(key)
-                    indices[key] = []
-                    by_key[key] = job
-                indices[key].append(i)
-
-            pending: List[str] = []
-            for key in order:
-                cached = (
-                    self.cache.get_security(key)
-                    if self.cache is not None else None
-                )
-                if cached is not None:
-                    for i in indices[key]:
-                        results[i] = cached
-                else:
-                    pending.append(key)
-
-        with self.profile.phase("execute"):
-            todo = [by_key[key] for key in pending]
-            if not todo:
-                executed: List[List[dict]] = []
-            else:
-                workers = min(self.jobs, len(todo))
-                if workers <= 1:
-                    executed = [_execute_security(j) for j in todo]
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        executed = list(pool.map(_execute_security, todo))
-        for key, raw in zip(pending, executed):
-            if self.cache is not None:
-                self.cache.put_security(key, raw)
-            for i in indices[key]:
-                results[i] = raw
-
-        self.profile.count("security_jobs", len(jobs))
-        self.profile.count("security_executed", len(pending))
-        self.profile.set_count("cache_hits", self.cache_hits)
-        self.profile.set_count("cache_misses", self.cache_misses)
-        if self.cache is not None:
-            self.cache.prune_to_limit()
-
+        per-row pressure map matters."""
         return [
-            _security_results_from_dicts(raw)  # type: ignore[arg-type]
-            for raw in results
+            _security_results_from_dicts(raw)
+            for raw in self.run_jobs(jobs, kind=SecurityJob)
         ]
-
-    # ------------------------------------------------------------------
-    # Threshold-campaign cells (SPRT bisection over the batched kernels)
-    # ------------------------------------------------------------------
-    def campaign_key_for(self, job: CampaignJob) -> str:
-        """This runner's cache key for a campaign cell (backend-blind)."""
-        return campaign_job_key(job, self.schema_version)
 
     def run_campaign(self, job: CampaignJob) -> dict:
         """Run (or fetch) one campaign cell's threshold search."""
         return self.run_campaign_many([job])[0]
 
     def run_campaign_many(self, jobs: Sequence[CampaignJob]) -> List[dict]:
-        """Run campaign cells; returns per-cell result records in order.
-
-        Same shape as :meth:`run_security_many`: duplicates collapse to
-        one search, cached cells never reach the pool, and misses fan out
-        one *cell* per worker (each cell's probes are sequential by
-        construction — later probes reuse the pool earlier probes grew —
-        so the cell is the parallel grain). Cells given a cache also
-        persist their seed-pool frontier there mid-search, making a
-        killed campaign resumable from the last pool extension.
-        """
-        jobs = list(jobs)
-        results: List[Optional[dict]] = [None] * len(jobs)
-
-        with self.profile.phase("plan"):
-            order: List[str] = []
-            indices: Dict[str, List[int]] = {}
-            by_key: Dict[str, CampaignJob] = {}
-            for i, job in enumerate(jobs):
-                key = self.campaign_key_for(job)
-                if key not in indices:
-                    order.append(key)
-                    indices[key] = []
-                    by_key[key] = job
-                indices[key].append(i)
-
-            pending: List[str] = []
-            for key in order:
-                cached = (
-                    self.cache.get_campaign(key)
-                    if self.cache is not None else None
-                )
-                if cached is not None:
-                    for i in indices[key]:
-                        results[i] = cached
-                else:
-                    pending.append(key)
-
-        with self.profile.phase("execute"):
-            cache_dir = (
-                self.cache.directory if self.cache is not None else None
-            )
-            payloads = [
-                (by_key[key], cache_dir,
-                 key if cache_dir is not None else None)
-                for key in pending
-            ]
-            if not payloads:
-                executed: List[dict] = []
-            else:
-                workers = min(self.jobs, len(payloads))
-                if workers <= 1:
-                    executed = [_execute_campaign(p) for p in payloads]
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        executed = list(pool.map(_execute_campaign, payloads))
-        for key, record in zip(pending, executed):
-            if self.cache is not None:
-                self.cache.put_campaign(key, record)
-            for i in indices[key]:
-                results[i] = record
-
-        self.profile.count("campaign_cells", len(jobs))
-        self.profile.count("campaign_executed", len(pending))
-        self.profile.set_count("cache_hits", self.cache_hits)
-        self.profile.set_count("cache_misses", self.cache_misses)
-        if self.cache is not None:
-            self.cache.prune_to_limit()
-
-        return results  # type: ignore[return-value]
+        """Run campaign cells (see :meth:`run_jobs`); returns per-cell
+        result records. Cells given a cache persist their seed-pool
+        frontier there mid-search, making a killed campaign resumable
+        from the last pool extension."""
+        return self.run_jobs(jobs, kind=CampaignJob)
 
     # ------------------------------------------------------------------
     def slowdown_matrix(

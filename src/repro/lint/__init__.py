@@ -21,16 +21,15 @@ On top of the per-module passes sits a whole-program layer
 (:mod:`repro.lint.graph` + :mod:`repro.lint.dataflow`) whose passes see
 the full ``src/repro`` tree through one call graph per run:
 
-* **cache-key** (``KEY001``/``KEY002``) — every job field read on the
-  execution path reaches its cache key, or is declared
-  ``# repro: key-blind[field]``;
-* **wire-schema** (``WIRE001``/``WIRE002``) — job dataclasses round-trip
-  through their ``*_to_wire``/``*_from_wire`` twins, and daemon/client
-  agree on the protocol op set;
+* **wire-schema** (``WIRE002``) — daemon and client agree on the
+  protocol op set;
 * **checkpoint-flow** (``CKPT002``) — self-attributes written by helpers
   the object escapes to are covered by the ``@checkpointable`` contract;
 * **async-blocking** (``ASYNC001``) — nothing reachable from the
   ``repro.svc`` event loop blocks it.
+
+Job wire codecs and cache keys need no pass: :mod:`repro.jobs` derives
+both from the job dataclass fields, so they agree by construction.
 
 Run it as ``python -m repro lint [paths]`` (or ``make lint``); suppress a
 justified finding inline with ``# repro: lint-ignore[rule-id]`` or in the

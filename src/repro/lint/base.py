@@ -37,15 +37,6 @@ PRAGMA_RE = re.compile(
     r"#\s*repro:\s*lint-ignore\[([A-Za-z0-9_\-\*,\s]+)\]"
 )
 
-#: ``# repro: key-blind[backend]`` / ``# repro: key-blind[backend, segment_cycles]``
-#: — declares that the dataclass field(s) on this line are *deliberately*
-#: excluded from the cache key, exempting them from KEY001. Unlike
-#: ``lint-ignore`` this names fields, not rules, so the exemption is
-#: auditable: KEY002 flags pragmas naming fields that are keyed after all.
-KEY_BLIND_RE = re.compile(
-    r"#\s*repro:\s*key-blind\[([A-Za-z0-9_,\s]+)\]"
-)
-
 
 def module_parts(path: str) -> Tuple[str, ...]:
     """Dotted-module parts of ``path`` relative to the ``repro`` package.
@@ -80,24 +71,6 @@ def parse_pragmas(lines: Iterable[str]) -> Dict[int, FrozenSet[str]]:
     return pragmas
 
 
-def parse_key_blind(lines: Iterable[str]) -> Dict[int, FrozenSet[str]]:
-    """Map 1-based line numbers to field names declared key-blind there.
-
-    Field names keep their case (they must match dataclass field names
-    exactly), unlike ``lint-ignore`` tokens which are case-folded.
-    """
-    blind: Dict[int, FrozenSet[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        match = KEY_BLIND_RE.search(line)
-        if match:
-            names = frozenset(
-                t.strip() for t in match.group(1).split(",") if t.strip()
-            )
-            if names:
-                blind[lineno] = names
-    return blind
-
-
 @dataclass
 class ModuleSource:
     """One parsed source file, ready for the passes."""
@@ -108,8 +81,6 @@ class ModuleSource:
     lines: List[str] = field(default_factory=list)
     parts: Tuple[str, ...] = ()
     pragmas: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    #: 1-based line -> dataclass fields declared ``key-blind`` on that line.
-    key_blind: Dict[int, FrozenSet[str]] = field(default_factory=dict)
 
     @classmethod
     def from_text(cls, text: str, path: str) -> "ModuleSource":
@@ -121,7 +92,6 @@ class ModuleSource:
             lines=lines,
             parts=module_parts(path),
             pragmas=parse_pragmas(lines),
-            key_blind=parse_key_blind(lines),
         )
 
     @property
@@ -147,16 +117,6 @@ class ModuleSource:
         for lineno in range(line, stop + 1):
             tokens |= self.pragmas.get(lineno, frozenset())
         return frozenset(tokens)
-
-    def key_blind_fields(
-        self, line: int, end_line: Optional[int] = None
-    ) -> FrozenSet[str]:
-        """Union of key-blind field names anywhere in ``[line, end_line]``."""
-        stop = end_line if end_line and end_line >= line else line
-        names: set = set()
-        for lineno in range(line, stop + 1):
-            names |= self.key_blind.get(lineno, frozenset())
-        return frozenset(names)
 
 
 class LintPass:

@@ -1,30 +1,24 @@
 """Interprocedural dataflow over the project call graph.
 
-Two closures power the whole-program passes:
+:func:`escaped_attribute_writes` finds every attribute *write* performed
+on an instance of one class by code **outside** that class (a helper the
+object was passed to), by tracking typed parameters (``def f(x: Cls)``)
+and ``self`` through call-graph argument passing to a fixpoint. The
+runtime contract walk (:func:`repro.ckpt.contract.verify_contract`) only
+sees ``self.X = ...`` inside the class's own methods; this closure is the
+``CKPT002`` half it cannot see.
 
-* :func:`attribute_reads` — every attribute *read* performed on values of
-  one class, anywhere in the project, found by tracking typed parameters
-  (``def f(job: SecurityJob)``) and ``self`` through call-graph argument
-  passing to a fixpoint. This is the read set the ``KEY001`` cache-key
-  soundness pass compares against the key function's field coverage.
-* :func:`escaped_attribute_writes` — every attribute *write* performed on
-  an instance of one class by code **outside** that class (a helper the
-  object was passed to), again to a fixpoint. The runtime contract walk
-  (:func:`repro.ckpt.contract.verify_contract`) only sees ``self.X = ...``
-  inside the class's own methods; this closure is the ``CKPT002`` half it
-  cannot see.
-
-Both are flow-insensitive within a function (any read/write anywhere in
+The analysis is flow-insensitive within a function (any write anywhere in
 the body counts) and path-insensitive across calls — exactly as
-conservative as a lint should be: over-approximating the read set can
-only demand a ``key-blind`` pragma, never hide a hole.
+conservative as a lint should be: over-approximating the write set can
+only demand a contract entry, never hide a hole.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.lint.graph import (
     CallSite,
@@ -41,22 +35,19 @@ TrackedParam = Tuple[str, str]  # (function qname, parameter name)
 
 @dataclass(frozen=True)
 class AttributeAccess:
-    """One attribute read or write on a tracked value."""
+    """One attribute write on a tracked value."""
 
     attr: str
     function: str  # qname of the function the access happens in
-    node: ast.AST  # the Attribute (read) or assignment (write) node
+    node: ast.AST  # the assignment node
 
 
-def _tracked_seed(
-    project: ProjectIndex, cls: ClassInfo, include_self: bool = True
-) -> Set[TrackedParam]:
+def _tracked_seed(project: ProjectIndex, cls: ClassInfo) -> Set[TrackedParam]:
     """Initial tracked set: annotated params plus ``self`` in the class."""
     tracked: Set[TrackedParam] = set()
-    if include_self:
-        for method in cls.methods.values():
-            if method.params and method.params[0] == "self":
-                tracked.add((method.qname, "self"))
+    for method in cls.methods.values():
+        if method.params and method.params[0] == "self":
+            tracked.add((method.qname, "self"))
     for info in project.functions.values():
         for param, annotation in info.annotations.items():
             if annotation == cls.name:
@@ -113,27 +104,6 @@ def _close_over_calls(
     return tracked
 
 
-def attribute_reads(
-    project: ProjectIndex, cls: ClassInfo
-) -> List[AttributeAccess]:
-    """Every attribute read on instances of ``cls``, project-wide."""
-    tracked = _close_over_calls(project, _tracked_seed(project, cls))
-    reads: List[AttributeAccess] = []
-    for qname, param in sorted(tracked):
-        info = project.functions.get(qname)
-        if info is None:
-            continue
-        for node in own_statements(info.node):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == param
-            ):
-                reads.append(AttributeAccess(node.attr, qname, node))
-    return reads
-
-
 def escaped_attribute_writes(
     project: ProjectIndex, cls: ClassInfo
 ) -> List[AttributeAccess]:
@@ -177,127 +147,3 @@ def _writes_on(info: FunctionInfo, param: str) -> Iterator[AttributeAccess]:
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             for attr in targets(node.target):
                 yield AttributeAccess(attr.attr, info.qname, node)
-
-
-# ----------------------------------------------------------------------
-# Key-function field coverage (shared by KEY001 and WIRE001)
-# ----------------------------------------------------------------------
-
-@dataclass
-class FieldCoverage:
-    """Which dataclass fields a function's payload provably includes."""
-
-    #: Fields covered (reads, dict keys, or asdict minus popped).
-    covered: Set[str]
-    #: True when coverage came from an ``asdict(obj)`` whole-object copy.
-    from_asdict: bool = False
-
-
-def field_coverage(
-    info: FunctionInfo, param: str, fields: Set[str]
-) -> FieldCoverage:
-    """How ``info`` covers ``fields`` of the object bound to ``param``.
-
-    Covered means any of:
-
-    * an attribute read ``param.X``;
-    * a string dict-literal key equal to a field name (the explicit
-      payload-building idiom: ``{"requests": requests, ...}``);
-    * ``dataclasses.asdict(param)`` — all fields, **minus** any field
-      popped *unconditionally* (a top-level ``fields.pop("X")`` statement
-      of the function body; a pop nested under ``if`` still counts as
-      covered, since on some path the field reaches the payload).
-    """
-    covered: Set[str] = set()
-    saw_asdict = False
-    for node in own_statements(info.node):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == param
-            and node.attr in fields
-        ):
-            covered.add(node.attr)
-        elif isinstance(node, ast.Dict):
-            for key in node.keys:
-                if (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and key.value in fields
-                ):
-                    covered.add(key.value)
-        elif isinstance(node, ast.Call):
-            parts = _call_parts(node)
-            if (
-                parts
-                and parts[-1] == "asdict"
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id == param
-            ):
-                saw_asdict = True
-    if saw_asdict:
-        covered |= fields - _unconditional_pops(info)
-    return FieldCoverage(covered=covered, from_asdict=saw_asdict)
-
-
-def constructor_coverage(
-    info: FunctionInfo, class_name: str, fields: Set[str]
-) -> FieldCoverage:
-    """Which ``fields`` a decode function passes to ``class_name(...)``.
-
-    ``Cls(**anything)`` covers every field (the splat carries whatever the
-    wire had); otherwise coverage is the set of explicit keyword names,
-    plus any string subscript/`.get` keys pulled off the wire dict (the
-    ``data["workload"]`` idiom).
-    """
-    covered: Set[str] = set()
-    splat = False
-    for node in own_statements(info.node):
-        if not isinstance(node, ast.Call):
-            continue
-        parts = _call_parts(node)
-        if not parts or parts[-1] != class_name:
-            continue
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                splat = True
-            elif keyword.arg in fields:
-                covered.add(keyword.arg)
-    if splat:
-        covered |= fields
-    return FieldCoverage(covered=covered, from_asdict=splat)
-
-
-def _unconditional_pops(info: FunctionInfo) -> Set[str]:
-    """Field names removed by top-level ``<x>.pop("name")`` statements."""
-    popped: Set[str] = set()
-    for stmt in info.node.body:
-        calls: List[ast.Call] = []
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            calls.append(stmt.value)
-        elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
-            calls.append(stmt.value)
-        for call in calls:
-            parts = _call_parts(call)
-            if (
-                parts
-                and parts[-1] == "pop"
-                and call.args
-                and isinstance(call.args[0], ast.Constant)
-                and isinstance(call.args[0].value, str)
-            ):
-                popped.add(call.args[0].value)
-    return popped
-
-
-def _call_parts(call: ast.Call) -> Optional[Tuple[str, ...]]:
-    node: ast.AST = call.func
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None

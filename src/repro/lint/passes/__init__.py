@@ -12,7 +12,6 @@ from typing import Dict, Tuple
 from repro.lint.base import LintPass
 from repro.lint.findings import Rule
 from repro.lint.passes.async_blocking import AsyncBlockingPass
-from repro.lint.passes.cache_key import CacheKeyPass
 from repro.lint.passes.callbacks import CallbackPass
 from repro.lint.passes.ckpt_flow import CkptFlowPass
 from repro.lint.passes.contract import ContractPass
@@ -35,7 +34,6 @@ ALL_PASSES: Tuple[LintPass, ...] = (
     ObsHotLoopPass(),
     PayloadLiteralPass(),
     SvcClockPass(),
-    CacheKeyPass(),
     WireSchemaPass(),
     CkptFlowPass(),
     AsyncBlockingPass(),
@@ -51,7 +49,6 @@ __all__ = [
     "ALL_PASSES",
     "ALL_RULES",
     "AsyncBlockingPass",
-    "CacheKeyPass",
     "CallbackPass",
     "CkptFlowPass",
     "ContractPass",

@@ -1,18 +1,14 @@
-"""Wire-schema drift pass: dataclasses vs codecs, daemon vs client.
+"""Wire-schema drift pass: the daemon and the client agree on the ops.
 
-The sweep service (PR 8) ships jobs between processes through versioned
-wire envelopes; the schema lives in three places that must agree — the
-job dataclass, its ``*_to_wire`` encoder, and its ``*_from_wire`` decoder
-— plus a fourth for the request protocol: the daemon's op dispatch and
-``SweepClient``'s call sites. Each pair can drift silently: add a field
-to ``Job`` and forget ``job_to_wire`` and the field is dropped on the
-wire, resurrected as its default on the far side, and every remote result
-quietly diverges from the local one.
+The sweep service ships requests between processes as ndjson messages
+whose ``op`` names live in three places that must agree: the module-level
+``OPS`` tuple of the protocol, the daemon's op dispatch, and
+``SweepClient``'s call sites. Each pair can drift silently — a declared
+op no branch handles is answered "unhandled" at run time, and an op the
+client issues outside ``OPS`` is rejected as unknown. (Job payloads need
+no such pass: their codec is derived from the job dataclass fields in
+:mod:`repro.jobs`, so it cannot drift from them.)
 
-* ``WIRE001`` — a field of a wire-crossing job dataclass that its encoder
-  never writes (no attribute read, no matching dict key, no covering
-  ``asdict``) or its decoder never passes to the constructor (no keyword,
-  no ``**splat``).
 * ``WIRE002`` — protocol op-set drift: an op in the module-level ``OPS``
   tuple that no daemon branch handles, an ``OPS`` op the client never
   issues, or a handled/issued op missing from ``OPS``.
@@ -28,76 +24,20 @@ import ast
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.lint.base import ModuleSource, ProjectLintPass
-from repro.lint.dataflow import constructor_coverage, field_coverage
 from repro.lint.findings import Finding, Rule
 from repro.lint.graph import ProjectIndex
-from repro.lint.passes.cache_key import _unique_class, _unique_function
-
-#: The wire-crossing job types: (dataclass, encoder, decoder) — looked up
-#: by bare name project-wide so fixtures can exercise the pass; a triple
-#: with any member absent from the scanned set is skipped.
-WIRE_CONTRACTS: Tuple[Tuple[str, str, str], ...] = (
-    ("Job", "job_to_wire", "job_from_wire"),
-    ("SecurityJob", "security_job_to_wire", "security_job_from_wire"),
-    ("CampaignJob", "campaign_job_to_wire", "campaign_job_from_wire"),
-)
 
 
 class WireSchemaPass(ProjectLintPass):
-    """Flags codec field drift (``WIRE001``) and op-set drift (``WIRE002``)."""
+    """Flags protocol op-set drift (``WIRE002``)."""
 
     name = "wire-schema"
     rules: Tuple[Rule, ...] = (
-        Rule("WIRE001", "wire-field-drift",
-             "job dataclass field missing from its to_wire/from_wire codec"),
         Rule("WIRE002", "protocol-op-drift",
              "protocol op known to only some of OPS / daemon / client"),
     )
 
     def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
-        for finding in self._check_codecs(project):
-            yield finding
-        for finding in self._check_ops(project):
-            yield finding
-
-    # ------------------------------------------------------------------
-    # WIRE001: dataclass fields vs codec coverage
-    # ------------------------------------------------------------------
-    def _check_codecs(self, project: ProjectIndex) -> Iterator[Finding]:
-        for class_name, to_name, from_name in WIRE_CONTRACTS:
-            cls = _unique_class(project, class_name)
-            if cls is None:
-                continue
-            fields = set(cls.fields)
-            to_fn = _unique_function(project, to_name)
-            if to_fn is not None and to_fn.params:
-                covered = field_coverage(
-                    to_fn, to_fn.params[0], fields
-                ).covered
-                for field_name in sorted(fields - covered):
-                    yield self.finding(
-                        "WIRE001", to_fn.module, to_fn.node,
-                        f"{class_name}.{field_name} never reaches the wire: "
-                        f"{to_name}() does not encode it, so the far side "
-                        "resurrects the default and results diverge",
-                    )
-            from_fn = _unique_function(project, from_name)
-            if from_fn is not None:
-                covered = constructor_coverage(
-                    from_fn, class_name, fields
-                ).covered
-                for field_name in sorted(fields - covered):
-                    yield self.finding(
-                        "WIRE001", from_fn.module, from_fn.node,
-                        f"{class_name}.{field_name} is dropped on decode: "
-                        f"{from_name}() never passes it to "
-                        f"{class_name}(...)",
-                    )
-
-    # ------------------------------------------------------------------
-    # WIRE002: OPS tuple vs daemon dispatch vs client calls
-    # ------------------------------------------------------------------
-    def _check_ops(self, project: ProjectIndex) -> Iterator[Finding]:
         ops_node: Optional[ast.Assign] = None
         ops_module: Optional[ModuleSource] = None
         declared: Set[str] = set()

@@ -55,8 +55,16 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
+
+from repro.jobs import (
+    KEY_BLIND,
+    JobSpec,
+    RunContext,
+    check_attack_fields,
+    keyed_when,
+)
 
 __all__ = [
     "SAFE",
@@ -254,17 +262,10 @@ def search_smallest_safe(
 
 
 # ----------------------------------------------------------------------
-# Campaign jobs (wire/cache identity lives in repro.analysis.runner)
+# Campaign jobs
 # ----------------------------------------------------------------------
-_CAMPAIGN_ATTACKS = (
-    "round_robin", "single_sided", "double_sided", "half_double",
-)
-_CAMPAIGN_TRACKERS = ("mint", "mint-transitive", "graphene", "para")
-_CAMPAIGN_POLICIES = ("fractal", "blast")
-
-
 @dataclass(frozen=True)
-class CampaignJob:
+class CampaignJob(JobSpec):
     """One campaign cell: a {tracker x policy x pattern} configuration
     plus the search's statistical contract.
 
@@ -282,6 +283,11 @@ class CampaignJob:
     compiled-rows digest into the cell identity.
     """
 
+    kind = "campaign"
+    section = "campaign"
+    result_type = dict
+    profile_counters = ("campaign_cells", None, "campaign_executed")
+
     tracker: str = "mint"
     policy: str = "fractal"
     window: int = 4
@@ -289,12 +295,20 @@ class CampaignJob:
     attack: str = "round_robin"
     rows: Tuple[int, ...] = ()
     base_row: int = 70_000
-    scenario: Optional[str] = None
-    scenario_version: Optional[str] = None
+    scenario: Optional[str] = field(
+        default=None, metadata=keyed_when("scenario")
+    )
+    scenario_version: Optional[str] = field(
+        default=None, metadata=keyed_when("scenario")
+    )
     #: sha256 of the scenario's compiled row stream (corpus-pinned);
     #: auto-filled from the manifest at construction.
-    scenario_digest: Optional[str] = None
-    scenario_params: Tuple[Tuple[str, int], ...] = ()
+    scenario_digest: Optional[str] = field(
+        default=None, metadata=keyed_when("scenario")
+    )
+    scenario_params: Tuple[Tuple[str, int], ...] = field(
+        default=(), metadata=keyed_when("scenario")
+    )
     rows_per_bank: int = 128 * 1024
     blast_radius: int = 2
     refresh_interval_acts: Optional[int] = None
@@ -306,70 +320,10 @@ class CampaignJob:
     p0: float = DEFAULT_P0
     p1: float = DEFAULT_P1
     max_chunk: int = DEFAULT_MAX_CHUNK
-    backend: str = "numpy"  # repro: key-blind[backend]
+    backend: str = field(default="numpy", metadata=KEY_BLIND)
 
     def __post_init__(self):
-        if self.scenario is not None:
-            from repro.payload import load_scenario
-
-            meta = load_scenario(self.scenario)
-            if self.scenario_version is None:
-                object.__setattr__(self, "scenario_version", meta.version)
-            elif self.scenario_version != meta.version:
-                raise ValueError(
-                    f"scenario {self.scenario!r} is version {meta.version} "
-                    f"in the corpus, not {self.scenario_version!r}"
-                )
-            if self.scenario_digest is None:
-                object.__setattr__(
-                    self, "scenario_digest", meta.rows_sha256
-                )
-            elif self.scenario_digest != meta.rows_sha256:
-                raise ValueError(
-                    f"scenario {self.scenario!r} compiles to digest "
-                    f"{meta.rows_sha256[:12]}..., not "
-                    f"{str(self.scenario_digest)[:12]}..."
-                )
-            declared = dict(meta.params)
-            raw = (
-                self.scenario_params.items()
-                if isinstance(self.scenario_params, dict)
-                else self.scenario_params
-            )
-            normalized = tuple(sorted((str(k), int(v)) for k, v in raw))
-            for name, _ in normalized:
-                if name not in declared:
-                    raise ValueError(
-                        f"scenario {self.scenario!r} declares no parameter "
-                        f"{name!r} (has {sorted(declared)})"
-                    )
-            object.__setattr__(self, "scenario_params", normalized)
-        elif (
-            self.scenario_version is not None
-            or self.scenario_digest is not None
-            or self.scenario_params
-        ):
-            raise ValueError(
-                "scenario_version/scenario_digest/scenario_params require "
-                "a scenario"
-            )
-        if self.attack not in _CAMPAIGN_ATTACKS:
-            raise ValueError(
-                f"unknown attack {self.attack!r}; expected one of "
-                f"{_CAMPAIGN_ATTACKS}"
-            )
-        if self.tracker not in _CAMPAIGN_TRACKERS:
-            raise ValueError(
-                f"unknown tracker {self.tracker!r}; expected one of "
-                f"{_CAMPAIGN_TRACKERS}"
-            )
-        if self.policy not in _CAMPAIGN_POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected one of "
-                f"{_CAMPAIGN_POLICIES}"
-            )
-        if self.backend not in ("numpy", "scalar"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        check_attack_fields(self)
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.acts < self.window:
@@ -381,6 +335,15 @@ class CampaignJob:
         # Validate the statistical contract eagerly (same errors a probe
         # would raise, but at construction time).
         self.sprt_config()
+
+    def execute(self, key: str, context: RunContext) -> dict:
+        """Search this cell. With a cache directory the cell persists its
+        seed-pool frontier there after every extension and resumes from a
+        surviving frontier, so a killed campaign re-invoked with the same
+        jobs picks up mid-bisection instead of from seed 0."""
+        if context.cache_dir is None:
+            return run_campaign_cell(self)
+        return run_campaign_cell(self, cache_dir=context.cache_dir, key=key)
 
     def sprt_config(self) -> SprtConfig:
         """The probe decision rule this job pins."""

@@ -2,8 +2,8 @@
 
 :class:`SweepClient` speaks the ndjson protocol over a Unix socket and
 exposes one method per op. It is deliberately thin: encoding lives in
-:mod:`repro.svc.protocol`, job payload encoding in the runner's wire
-codec (:func:`repro.analysis.runner.any_job_to_wire`), and every decision
+:mod:`repro.svc.protocol`, job payload encoding in the job model's wire
+codec (:meth:`repro.jobs.JobSpec.to_wire`), and every decision
 — scheduling, dedup, caching — stays on the daemon side. The CLI's thin
 ``repro submit|status|result|cancel`` subcommands are built on this class
 and fall back to in-process execution when :func:`daemon_available` says
@@ -14,14 +14,9 @@ from __future__ import annotations
 
 import os
 import socket
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Dict, List, Optional
 
-from repro.analysis.runner import (
-    CampaignJob,
-    Job,
-    SecurityJob,
-    any_job_to_wire,
-)
+from repro.jobs import JobSpec
 from repro.svc import protocol
 from repro.svc.scheduler import default_socket_path
 
@@ -100,13 +95,13 @@ class SweepClient:
 
     def submit(
         self,
-        jobs: List[Union[Job, SecurityJob, CampaignJob]],
+        jobs: List[JobSpec],
         priority: int = 0,
     ) -> List[str]:
         """Enqueue jobs; returns their daemon-assigned ids, in order."""
         response = self._call(
             "submit",
-            jobs=[any_job_to_wire(job) for job in jobs],
+            jobs=[job.to_wire() for job in jobs],
             priority=priority,
         )
         return list(response["job_ids"])

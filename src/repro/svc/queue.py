@@ -25,6 +25,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.jobs import JobSpec
+
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
@@ -42,8 +44,8 @@ class JobRecord:
     """One submitted job's full service-side lifecycle."""
 
     job_id: str
-    kind: str                 # "sim" | "security" | "campaign"
-    job: object               # runner Job / SecurityJob / CampaignJob
+    kind: str                 # the job's JobSpec kind tag
+    job: JobSpec
     key: str                  # content-addressed cache key
     priority: int
     seq: int
@@ -114,7 +116,7 @@ class SweepQueue:
         self.records: Dict[str, JobRecord] = {}
 
     # ------------------------------------------------------------------
-    def submit(self, kind: str, job: object, key: str,
+    def submit(self, kind: str, job: JobSpec, key: str,
                priority: int = 0) -> JobRecord:
         """Enqueue one job; assigns the next submit sequence number."""
         seq = self._next_seq

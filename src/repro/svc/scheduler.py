@@ -34,23 +34,15 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.analysis.runner import (
     CACHE_SCHEMA_VERSION,
-    CampaignJob,
-    Job,
     ResultCache,
-    SecurityJob,
-    any_job_from_wire,
-    build_sim_payload,
-    campaign_job_key,
     default_cache_dir,
     default_requests,
-    job_key,
-    result_to_dict,
-    security_job_key,
 )
+from repro.jobs import JobSpec, RunContext
 from repro.obs import MetricsRegistry
 from repro.sim.config import SystemConfig
 from repro.svc import protocol
@@ -274,27 +266,10 @@ class SweepService:
         if resume:
             boundaries = self.cache.snapshot_boundaries(record.key)
             record.resumed_from = boundaries[-1] if boundaries else None
-        if record.kind == "sim":
-            payload: object = build_sim_payload(
-                record.job,  # type: ignore[arg-type]
-                self.config,
-                self.requests,
-                record.key,
-                cache_dir=self.cache.directory,
-                schema_version=self.schema_version,
-                resume=resume,
-            )
-        else:
-            # SecurityJob / CampaignJob: picklable as-is; the worker builds
-            # its own execution context (and, for campaigns, resumes from
-            # any frontier file a killed attempt left in the cache dir).
-            payload = record.job
         spec = {
-            "kind": record.kind,
-            "payload": payload,
-            "cache_dir": self.cache.directory,
-            "schema": self.schema_version,
+            "job": record.job,
             "key": record.key,
+            "context": self._context(resume),
             "interval": self.heartbeat_interval,
         }
         handle = WorkerHandle.spawn(
@@ -392,25 +367,26 @@ class SweepService:
     # ------------------------------------------------------------------
     # Job identity and result access
     # ------------------------------------------------------------------
-    def key_for(self, job: Union[Job, SecurityJob, CampaignJob]) -> str:
-        """The daemon's cache key for ``job`` (same as an in-process run)."""
-        if isinstance(job, Job):
-            requests = (
-                job.requests if job.requests is not None else self.requests
-            )
-            return job_key(job, self.config, requests, self.schema_version)
-        if isinstance(job, CampaignJob):
-            return campaign_job_key(job, self.schema_version)
-        return security_job_key(job, self.schema_version)
+    def _context(self, resume: bool = False) -> RunContext:
+        """The run context daemon jobs are keyed and executed under; the
+        shared cache directory holds their snapshots and frontiers."""
+        return RunContext(
+            config=self.config,
+            requests=self.requests,
+            schema_version=self.schema_version,
+            cache_dir=self.cache.directory,
+            resume=resume,
+        )
 
-    def _cached_payload(self, record: JobRecord) -> Optional[object]:
+    def key_for(self, job: JobSpec) -> str:
+        """The daemon's cache key for ``job`` (same as an in-process run)."""
+        return job.key(self._context())
+
+    def _cached_payload(self, record: JobRecord) -> Optional[Any]:
         """The servable result payload for ``record`` (None on a miss)."""
-        if record.kind == "sim":
-            result = self.cache.get(record.key)
-            return result_to_dict(result) if result is not None else None
-        if record.kind == "campaign":
-            return self.cache.get_campaign(record.key)
-        return self.cache.get_security(record.key)
+        kind = type(record.job)
+        value = self.cache.load(record.key, kind)
+        return kind.encode_result(value) if value is not None else None
 
     # ------------------------------------------------------------------
     # Client protocol
@@ -474,20 +450,15 @@ class SweepService:
         if not isinstance(jobs, list) or not jobs:
             return protocol.error("submit needs a non-empty 'jobs' list")
         priority = int(message.get("priority", 0))
-        decoded = []
-        for wire in jobs:
-            job = any_job_from_wire(wire)  # raises ValueError on bad wire
-            if isinstance(job, Job):
-                kind = "sim"
-            elif isinstance(job, CampaignJob):
-                kind = "campaign"
-            else:
-                kind = "security"
-            decoded.append((kind, job, self.key_for(job)))
+        # Decode and key every job before queueing any: a bad payload
+        # (ValueError) rejects the whole submit.
+        keyed = [
+            (job, self.key_for(job)) for job in map(JobSpec.from_wire, jobs)
+        ]
         job_ids = []
         keys = []
-        for kind, job, key in decoded:
-            record = self.queue.submit(kind, job, key, priority)
+        for job, key in keyed:
+            record = self.queue.submit(job.kind, job, key, priority)
             record.event = asyncio.Event()
             job_ids.append(record.job_id)
             keys.append(key)

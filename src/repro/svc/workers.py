@@ -5,8 +5,8 @@ A worker is a real ``multiprocessing.Process`` (not a pool member) so the
 daemon can observe its death directly: a SIGKILL'd worker has a negative
 ``exitcode`` instead of wedging a shared pool. The completion contract is
 filesystem-based and idempotent — the worker executes its job through the
-existing runner entry points (:func:`repro.analysis.runner._execute` /
-``_execute_security``) and **publishes the result into the shared
+job's own :meth:`~repro.jobs.JobSpec.execute` (what the runner's
+in-process pool runs too) and **publishes the result into the shared
 ResultCache**, then exits 0. The daemon never parses worker stdout; it
 reads the cache. A worker that dies mid-job leaves, at worst, the segment
 snapshots it already wrote — which is exactly what the retry path resumes
@@ -49,24 +49,17 @@ def worker_main(spec: dict) -> None:
 
     ``spec`` fields:
 
-    * ``kind`` — ``"sim"``, ``"security"``, or ``"campaign"``
-    * ``payload`` — the :func:`repro.analysis.runner._execute` tuple
-      (sim) or the job dataclass itself (security / campaign)
-    * ``cache_dir`` / ``schema`` / ``key`` — where to publish the result
+    * ``job`` / ``key`` — the job dataclass and its cache key
+    * ``context`` — the :class:`repro.jobs.RunContext` it runs under; its
+      cache directory and schema say where to publish the result
     * ``heartbeat`` — heartbeat file path (optional)
     * ``interval`` — seconds between heartbeat touches
 
-    Campaign workers additionally persist their seed-pool frontier into
-    the cache directory mid-search (``<key>.part.json``), so a killed
-    worker's retry resumes the bisection from the last pool extension —
-    the campaign twin of resuming a sim from its segment snapshots.
+    Resumable jobs persist progress into the cache directory as they go
+    (segment snapshots, a campaign's seed-pool frontier), so a killed
+    worker's retry resumes from the last one instead of from zero.
     """
-    from repro.analysis.runner import (
-        ResultCache,
-        _execute,
-        _execute_campaign,
-        _execute_security,
-    )
+    from repro.analysis.runner import ResultCache
 
     stop = threading.Event()
     beat: Optional[threading.Thread] = None
@@ -79,20 +72,11 @@ def worker_main(spec: dict) -> None:
         )
         beat.start()
     try:
-        cache = ResultCache(spec["cache_dir"], spec["schema"])
-        if spec["kind"] == "sim":
-            result = _execute(spec["payload"])
-            cache.put(spec["key"], result)
-        elif spec["kind"] == "security":
-            raw = _execute_security(spec["payload"])
-            cache.put_security(spec["key"], raw)
-        elif spec["kind"] == "campaign":
-            record = _execute_campaign(
-                (spec["payload"], spec["cache_dir"], spec["key"])
-            )
-            cache.put_campaign(spec["key"], record)
-        else:
-            raise ValueError(f"unknown worker kind {spec['kind']!r}")
+        job, key, context = spec["job"], spec["key"], spec["context"]
+        value = job.execute(key, context)
+        ResultCache(context.cache_dir, context.schema_version).store(
+            key, type(job), value
+        )
     finally:
         stop.set()
         if beat is not None:

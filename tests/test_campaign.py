@@ -15,17 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.runner import (
-    ExperimentRunner,
-    Job,
-    SecurityJob,
-    any_job_from_wire,
-    campaign_job_from_wire,
-    campaign_job_key,
-    campaign_job_to_wire,
-    job_key,
-    security_job_key,
-)
+from repro.analysis.runner import ExperimentRunner, Job, SecurityJob
+from repro.jobs import JobSpec, RunContext
 from repro.security.campaign import (
     SAFE,
     UNSAFE,
@@ -298,66 +289,60 @@ class TestCampaignJob:
             CampaignJob(scenario="abcd_k", acts=1000, max_seeds=50,
                         alpha=0.01, rubix_key=3),
         ):
-            wire = campaign_job_to_wire(job)
-            decoded = campaign_job_from_wire(
-                json.loads(json.dumps(wire))
-            )
+            wire = job.to_wire()
+            decoded = CampaignJob.from_wire(json.loads(json.dumps(wire)))
             assert decoded == job
-            assert any_job_from_wire(wire) == job
-            assert campaign_job_key(decoded) == campaign_job_key(job)
+            assert JobSpec.from_wire(wire) == job
+            assert decoded.key() == job.key()
 
     def test_wire_rejects_unknown_fields(self):
-        wire = campaign_job_to_wire(CampaignJob(max_seeds=50))
+        wire = CampaignJob(max_seeds=50).to_wire()
         wire["surprise"] = 1
         with pytest.raises(ValueError, match="surprise"):
-            campaign_job_from_wire(wire)
+            CampaignJob.from_wire(wire)
 
     def test_wire_rejects_dropped_min_chunk(self):
         """``min_chunk`` left the job; an old payload carrying it is
         refused with the typed wire error, not silently accepted."""
-        wire = campaign_job_to_wire(CampaignJob(max_seeds=50))
+        wire = CampaignJob(max_seeds=50).to_wire()
         wire["min_chunk"] = 8
         with pytest.raises(ValueError,
                            match=r"unknown CampaignJob wire fields.*min_chunk"):
-            campaign_job_from_wire(wire)
+            CampaignJob.from_wire(wire)
 
     def test_key_is_backend_blind(self):
         a = CampaignJob(window=4, max_seeds=50, backend="numpy")
         b = CampaignJob(window=4, max_seeds=50, backend="scalar")
-        assert campaign_job_key(a) == campaign_job_key(b)
+        assert a.key() == b.key()
 
     def test_key_covers_statistical_contract(self):
         base = CampaignJob(window=4, max_seeds=50)
-        assert campaign_job_key(base) != campaign_job_key(
-            CampaignJob(window=4, max_seeds=50, alpha=0.01)
+        assert base.key() != (
+            CampaignJob(window=4, max_seeds=50, alpha=0.01).key()
         )
-        assert campaign_job_key(base) != campaign_job_key(
-            CampaignJob(window=4, max_seeds=50, max_chunk=128)
+        assert base.key() != (
+            CampaignJob(window=4, max_seeds=50, max_chunk=128).key()
         )
-        assert campaign_job_key(base) != campaign_job_key(
-            CampaignJob(window=4, max_seeds=60)
-        )
+        assert base.key() != CampaignJob(window=4, max_seeds=60).key()
 
     def test_only_campaign_keys_moved_with_min_chunk(self):
         """Dropping ``min_chunk`` re-keys campaign cells (the field left
         the hashed dataclass) without a schema bump; simulation and
         security keys are pinned to their values from before the drop."""
-        assert job_key(Job("add"), SystemConfig(), 300) == (
+        assert Job("add").key(RunContext(SystemConfig(), 300)) == (
             "d856c092f7176fe14c23c370181c194b"
             "8cba623119329cdb2359eedd69553c26"
         )
-        assert security_job_key(SecurityJob()) == (
+        assert SecurityJob().key() == (
             "9b4115a1db64c8ac01740891f617775a"
             "0cd3a1f34b874ee1447f9231b2c22c6b"
         )
-        assert security_job_key(
-            SecurityJob(scenario="row_press", acts=1000)
-        ) == (
+        assert SecurityJob(scenario="row_press", acts=1000).key() == (
             "02744bb5763cba2fd562bef9ce33ab4a"
             "7ab7e1daa813870fc718ac3933c5659a"
         )
         # The default cell's key while it still carried min_chunk=8.
-        assert campaign_job_key(CampaignJob()) != (
+        assert CampaignJob().key() != (
             "d93203289d8640eb4ed536289837845b"
             "8f4208f5ad9ac1eee79740dab1dd7de3"
         )

@@ -1,20 +1,23 @@
-"""The whole-program lint layer: graph, dataflow, and the four pass families.
+"""The whole-program lint layer: graph, dataflow, and the pass families.
 
 Four layers of coverage:
 
 * unit tests of :mod:`repro.lint.graph` (symbol table, call resolution,
   package-scoped reachability) and :mod:`repro.lint.dataflow` (tracked
-  parameter closures, field coverage) on small fixture trees;
-* positive/negative fixtures per rule (KEY001/002, WIRE001/002, CKPT002,
-  ASYNC001) through the ``lint_project`` helper;
+  parameter closures) on small fixture trees;
+* positive/negative fixtures per rule (WIRE002, CKPT002, ASYNC001)
+  through the ``lint_project`` helper;
 * discovery pins on the real tree: the passes must actually *find* the
-  Job/SecurityJob/CampaignJob contracts and the svc async roots — a pass
-  that silently no-ops would otherwise look identical to a clean tree;
+  svc async roots — a pass that silently no-ops would otherwise look
+  identical to a clean tree;
 * end-to-end mutation tests: copy ``src/repro`` to a temp dir, seed one
-  real violation (drop a field from ``job_to_wire``, add a blocking call
-  to the scheduler, strip a key-blind pragma), and assert the full
-  ``run_lint`` + committed-baseline pipeline flips to failing — exactly
-  the CI exit-1 contract.
+  real violation (add a blocking call to the scheduler, drop a daemon op
+  branch), and assert the full ``run_lint`` + committed-baseline pipeline
+  flips to failing — exactly the CI exit-1 contract.
+
+The job wire codec and cache key have no lint rules: they are derived
+from the job dataclass fields, and ``tests/test_job_model.py`` checks
+them directly.
 """
 
 import json
@@ -34,26 +37,14 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint.base import ModuleSource
-from repro.lint.dataflow import (
-    attribute_reads,
-    constructor_coverage,
-    escaped_attribute_writes,
-    field_coverage,
-)
-from repro.lint.passes import (
-    AsyncBlockingPass,
-    CacheKeyPass,
-    CkptFlowPass,
-    WireSchemaPass,
-)
+from repro.lint.dataflow import escaped_attribute_writes
+from repro.lint.passes import AsyncBlockingPass, CkptFlowPass, WireSchemaPass
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
 BASELINE = os.path.join(REPO_ROOT, "lint-baseline.json")
 
-PROJECT_PASSES = [
-    CacheKeyPass(), WireSchemaPass(), CkptFlowPass(), AsyncBlockingPass(),
-]
+PROJECT_PASSES = [WireSchemaPass(), CkptFlowPass(), AsyncBlockingPass()]
 
 
 def modules_from(files):
@@ -141,110 +132,8 @@ def test_graph_reachability_is_transitive_and_package_scoped():
 
 
 # ----------------------------------------------------------------------
-# dataflow: tracked values and field coverage
+# dataflow: escaped attribute writes
 # ----------------------------------------------------------------------
-
-DATAFLOW_FILES = {
-    "src/repro/analysis/jobs.py": '''
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class Parcel:
-    alpha: int = 0
-    beta: int = 0
-    gamma: int = 0
-
-def entry(parcel: Parcel):
-    return relay(parcel)
-
-def relay(p):
-    use(p.alpha)
-    return deep(thing=p)
-
-def deep(thing):
-    return thing.beta
-
-def use(x):
-    return x
-''',
-}
-
-
-def test_attribute_reads_follow_positional_and_keyword_arguments():
-    project = build_project(modules_from(DATAFLOW_FILES))
-    cls = project.classes["analysis.jobs.Parcel"]
-    reads = {(a.attr, a.function) for a in attribute_reads(project, cls)}
-    assert ("alpha", "analysis.jobs.relay") in reads
-    assert ("beta", "analysis.jobs.deep") in reads
-    assert not any(attr == "gamma" for attr, _ in reads)
-
-
-def test_field_coverage_dict_keys_reads_and_asdict_pops():
-    files = {
-        "src/repro/analysis/cov.py": '''
-from dataclasses import asdict, dataclass
-
-@dataclass
-class Rec:
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    d: int = 0
-
-def explicit(rec: Rec):
-    return {"a": rec.a, "b": 1}
-
-def whole(rec: Rec, skip: bool):
-    fields = asdict(rec)
-    fields.pop("c")
-    if skip:
-        fields.pop("d")
-    return fields
-''',
-    }
-    project = build_project(modules_from(files))
-    fields = {"a", "b", "c", "d"}
-    explicit = field_coverage(
-        project.functions["analysis.cov.explicit"], "rec", fields
-    )
-    assert explicit.covered == {"a", "b"}
-    assert not explicit.from_asdict
-    whole = field_coverage(
-        project.functions["analysis.cov.whole"], "rec", fields
-    )
-    # Unconditional pop removes c; the pop under `if` keeps d covered.
-    assert whole.covered == {"a", "b", "d"}
-    assert whole.from_asdict
-
-
-def test_constructor_coverage_kwargs_vs_splat():
-    files = {
-        "src/repro/analysis/ctor.py": '''
-from dataclasses import dataclass
-
-@dataclass
-class Rec:
-    a: int = 0
-    b: int = 0
-
-def narrow(data):
-    return Rec(a=data["a"])
-
-def splat(data):
-    return Rec(**data)
-''',
-    }
-    project = build_project(modules_from(files))
-    fields = {"a", "b"}
-    narrow = constructor_coverage(
-        project.functions["analysis.ctor.narrow"], "Rec", fields
-    )
-    assert narrow.covered == {"a"}
-    splat = constructor_coverage(
-        project.functions["analysis.ctor.splat"], "Rec", fields
-    )
-    assert splat.covered == fields
-
 
 def test_escaped_writes_are_seen_and_own_methods_are_not():
     files = {
@@ -263,164 +152,6 @@ def wire(gadget: Gadget):
     writes = {(a.attr, a.function) for a in escaped_attribute_writes(project, cls)}
     assert ("outside", "mc.owner.wire") in writes
     assert not any(attr == "inside" for attr, _ in writes)
-
-
-# ----------------------------------------------------------------------
-# KEY001 / KEY002 fixtures
-# ----------------------------------------------------------------------
-
-def key_fixture(field_comment="", key_fields='"workload": job.workload,'):
-    return {
-        "src/repro/analysis/kf.py": f'''
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class Job:
-    workload: str = "x"
-    seed: int = 0
-    backend: str = "scalar"{field_comment}
-
-def job_key(job: Job) -> str:
-    payload = {{
-        {key_fields}
-        "seed": job.seed,
-    }}
-    return str(payload)
-
-def execute(job: Job):
-    pick(job.backend)
-    return job.workload
-
-def pick(backend):
-    return backend
-''',
-    }
-
-
-def test_key001_flags_read_but_unkeyed_field():
-    findings = lint_project(key_fixture())
-    key = [f for f in findings if f.rule_id == "KEY001"]
-    assert len(key) == 1
-    assert "Job.backend" in key[0].message
-    assert "key-blind[backend]" in key[0].message
-
-
-def test_key001_silenced_by_key_blind_pragma():
-    files = key_fixture(field_comment="  # repro: key-blind[backend]")
-    assert "KEY001" not in rules_hit(files)
-    assert "KEY002" not in rules_hit(files)
-
-
-def test_key001_clean_when_field_is_keyed():
-    files = key_fixture(
-        key_fields='"workload": job.workload, "backend": job.backend,'
-    )
-    assert "KEY001" not in rules_hit(files)
-
-
-def test_key002_flags_pragma_on_keyed_field():
-    files = key_fixture(
-        field_comment="  # repro: key-blind[backend]",
-        key_fields='"workload": job.workload, "backend": job.backend,',
-    )
-    key002 = [f for f in lint_project(files) if f.rule_id == "KEY002"]
-    assert len(key002) == 1
-    assert "stale" in key002[0].message
-
-
-def test_key002_flags_pragma_on_unknown_field():
-    files = key_fixture(field_comment="  # repro: key-blind[nonesuch]")
-    messages = [
-        f.message for f in lint_project(files) if f.rule_id == "KEY002"
-    ]
-    assert any("nonesuch" in m for m in messages)
-
-
-def test_key001_asdict_key_with_unconditional_pop():
-    files = {
-        "src/repro/analysis/kf2.py": '''
-from dataclasses import asdict, dataclass
-
-@dataclass(frozen=True)
-class SecurityJob:
-    attack: str = "a"
-    backend: str = "numpy"
-
-def security_job_key(job: SecurityJob) -> str:
-    fields = asdict(job)
-    fields.pop("backend")
-    return str(fields)
-
-def run(job: SecurityJob):
-    return (job.attack, job.backend)
-''',
-    }
-    key = [f for f in lint_project(files) if f.rule_id == "KEY001"]
-    assert len(key) == 1
-    assert "SecurityJob.backend" in key[0].message
-
-
-# ----------------------------------------------------------------------
-# WIRE001 fixtures
-# ----------------------------------------------------------------------
-
-WIRE_OK = {
-    "src/repro/analysis/wf.py": '''
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class Job:
-    workload: str = "x"
-    seed: int = 0
-
-def job_to_wire(job: Job) -> dict:
-    return {"kind": "sim", "workload": job.workload, "seed": job.seed}
-
-def job_from_wire(data: dict) -> Job:
-    return Job(workload=data["workload"], seed=data["seed"])
-''',
-}
-
-
-def test_wire001_clean_on_covering_codecs():
-    assert "WIRE001" not in rules_hit(WIRE_OK)
-
-
-def test_wire001_flags_field_missing_from_encoder():
-    files = {
-        "src/repro/analysis/wf.py": WIRE_OK[
-            "src/repro/analysis/wf.py"
-        ].replace(' "seed": job.seed}', "}"),
-    }
-    wire = [f for f in lint_project(files) if f.rule_id == "WIRE001"]
-    assert any(
-        "Job.seed" in f.message and "job_to_wire" in f.message for f in wire
-    )
-
-
-def test_wire001_flags_field_missing_from_decoder():
-    files = {
-        "src/repro/analysis/wf.py": WIRE_OK[
-            "src/repro/analysis/wf.py"
-        ].replace(', seed=data["seed"])', ")"),
-    }
-    wire = [f for f in lint_project(files) if f.rule_id == "WIRE001"]
-    assert any(
-        "Job.seed" in f.message and "job_from_wire" in f.message
-        for f in wire
-    )
-
-
-def test_wire001_splat_decoder_covers_everything():
-    files = {
-        "src/repro/analysis/wf.py": WIRE_OK[
-            "src/repro/analysis/wf.py"
-        ].replace(
-            'Job(workload=data["workload"], seed=data["seed"])',
-            "Job(**data)",
-        ),
-    }
-    assert "WIRE001" not in rules_hit(files)
 
 
 # ----------------------------------------------------------------------
@@ -651,26 +382,6 @@ def real_project():
     return build_project(modules)
 
 
-def test_real_tree_discovers_all_three_key_contracts(real_project):
-    """Guard against the pass silently no-opping: the contracts exist."""
-    from repro.lint.passes.cache_key import (
-        KEYED_CONTRACTS, _unique_class, _unique_function,
-    )
-
-    for class_name, key_name in KEYED_CONTRACTS:
-        assert _unique_class(real_project, class_name) is not None, class_name
-        assert _unique_function(real_project, key_name) is not None, key_name
-
-
-def test_real_tree_key_blind_fields_are_actually_read(real_project):
-    """The committed pragmas are load-bearing, not decoration: each
-    pragma'd field really is read on the execution path, so deleting the
-    pragma must resurface KEY001 (the mutation test below proves it)."""
-    cls = real_project.classes_by_name["Job"][0]
-    reads = {a.attr for a in attribute_reads(real_project, cls)}
-    assert {"backend", "segment_cycles"} <= reads
-
-
 def test_real_tree_svc_async_roots_exist(real_project):
     roots = [
         f.qname for f in real_project.functions_in_package("svc")
@@ -707,18 +418,6 @@ def mutated_tree_result(tmp_path, rel_path, old, new):
     )
 
 
-def test_mutation_dropping_wire_field_fails_the_build(tmp_path):
-    result = mutated_tree_result(
-        tmp_path, "analysis/runner.py",
-        '        "backend": job.backend,\n', "",
-    )
-    assert not result.ok
-    assert any(
-        f.rule_id == "WIRE001" and "Job.backend" in f.message
-        for f in result.new_findings
-    )
-
-
 def test_mutation_blocking_scheduler_call_fails_the_build(tmp_path):
     result = mutated_tree_result(
         tmp_path, "svc/scheduler.py",
@@ -728,19 +427,6 @@ def test_mutation_blocking_scheduler_call_fails_the_build(tmp_path):
     assert not result.ok
     assert any(
         f.rule_id == "ASYNC001" and "time.sleep" in f.message
-        for f in result.new_findings
-    )
-
-
-def test_mutation_removing_key_blind_pragma_fails_the_build(tmp_path):
-    result = mutated_tree_result(
-        tmp_path, "analysis/runner.py",
-        'backend: str = "scalar"  # repro: key-blind[backend]',
-        'backend: str = "scalar"',
-    )
-    assert not result.ok
-    assert any(
-        f.rule_id == "KEY001" and "Job.backend" in f.message
         for f in result.new_findings
     )
 
@@ -761,16 +447,16 @@ def test_mutation_dropping_shutdown_branch_fails_the_build(tmp_path):
 # SARIF shape for whole-program findings
 # ----------------------------------------------------------------------
 
-NEW_RULE_IDS = (
-    "KEY001", "KEY002", "WIRE001", "WIRE002", "CKPT002", "ASYNC001",
-)
+NEW_RULE_IDS = ("WIRE002", "CKPT002", "ASYNC001")
 
 
-def write_key_fixture_tree(tmp_path):
-    source = key_fixture()["src/repro/analysis/kf.py"]
-    target = tmp_path / "src" / "repro" / "analysis"
-    target.mkdir(parents=True)
-    (target / "kf.py").write_text(source)
+def write_wire_fixture_tree(tmp_path):
+    """A svc tree with one WIRE002 finding: OPS declares an op no daemon
+    branch handles."""
+    for rel, source in svc_fixture(handled=("ping",)).items():
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
     return str(tmp_path / "src" / "repro")
 
 
@@ -782,7 +468,7 @@ def test_new_rules_are_registered_with_metadata():
 
 
 def test_sarif_driver_rules_include_whole_program_rules(tmp_path):
-    tree = write_key_fixture_tree(tmp_path)
+    tree = write_wire_fixture_tree(tmp_path)
     result = run_lint([tree], relative_to=str(tmp_path))
     payload = json.loads(render(result, "sarif"))
     assert payload["version"] == "2.1.0"
@@ -794,24 +480,24 @@ def test_sarif_driver_rules_include_whole_program_rules(tmp_path):
 
 
 def test_sarif_whole_program_finding_has_physical_location(tmp_path):
-    tree = write_key_fixture_tree(tmp_path)
+    tree = write_wire_fixture_tree(tmp_path)
     result = run_lint([tree], relative_to=str(tmp_path))
     payload = json.loads(render(result, "sarif"))
-    key = [
-        r for r in payload["runs"][0]["results"] if r["ruleId"] == "KEY001"
+    wire = [
+        r for r in payload["runs"][0]["results"] if r["ruleId"] == "WIRE002"
     ]
-    assert len(key) == 1
-    assert key[0]["level"] == "error"   # NEW findings are errors
-    location = key[0]["locations"][0]["physicalLocation"]
+    assert len(wire) == 1
+    assert wire[0]["level"] == "error"   # NEW findings are errors
+    location = wire[0]["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"].endswith(
-        "src/repro/analysis/kf.py"
+        "src/repro/svc/protocol.py"
     )
     region = location["region"]
     assert region["startLine"] >= 1 and region["startColumn"] >= 1
 
 
 def test_sarif_baselined_whole_program_finding_is_external(tmp_path):
-    tree = write_key_fixture_tree(tmp_path)
+    tree = write_wire_fixture_tree(tmp_path)
     # Derive the baseline entry from the live finding so the anchor
     # context matches exactly the way a real `--update-baseline` would.
     (finding,) = run_lint(

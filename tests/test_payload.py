@@ -475,7 +475,7 @@ class TestSecurityJobScenario:
             SecurityJob(scenario_params=(("row", 1),))
 
     def test_scenario_identity_enters_the_cache_key(self, monkeypatch):
-        from repro.analysis.runner import SecurityJob, security_job_key
+        from repro.analysis.runner import SecurityJob
 
         base = SecurityJob(scenario="single_sided", acts=100)
         other_params = SecurityJob(
@@ -483,26 +483,18 @@ class TestSecurityJobScenario:
             scenario_params={"row": 9},
         )
         other_name = SecurityJob(scenario="double_sided", acts=100)
-        keys = {
-            security_job_key(base),
-            security_job_key(other_params),
-            security_job_key(other_name),
-        }
+        keys = {base.key(), other_params.key(), other_name.key()}
         assert len(keys) == 3
         # A version bump alone must re-key (the same name+params answer
         # would otherwise come from entries computed against the old
         # payload).
         bumped = dataclasses.replace(base)
         object.__setattr__(bumped, "scenario_version", "2.0.0")
-        assert security_job_key(bumped) != security_job_key(base)
+        assert bumped.key() != base.key()
 
     def test_scenario_less_jobs_keep_their_pre_corpus_hash(self):
         """The corpus fields must not invalidate existing cache entries."""
-        from repro.analysis.runner import (
-            CACHE_SCHEMA_VERSION,
-            SecurityJob,
-            security_job_key,
-        )
+        from repro.analysis.runner import CACHE_SCHEMA_VERSION, SecurityJob
 
         job = SecurityJob(attack="double_sided", rows=(70_000,), acts=100)
         fields = dataclasses.asdict(job)
@@ -515,7 +507,7 @@ class TestSecurityJobScenario:
             sort_keys=True, separators=(",", ":"),
         )
         expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        assert security_job_key(job) == expected
+        assert job.key() == expected
 
     def test_runner_executes_and_caches_scenario_jobs(self, tmp_path):
         from repro.analysis.runner import ExperimentRunner, SecurityJob

@@ -15,8 +15,8 @@ from repro.analysis.runner import (
     ExperimentRunner,
     Job,
     ResultCache,
-    job_key,
 )
+from repro.jobs import RunContext
 from repro.mc.setup import MitigationSetup
 from repro.obs import ObsConfig
 
@@ -138,14 +138,13 @@ class TestResultCache:
             Job("add", MitigationSetup("none"), "zen", REQUESTS + 1, 1),
             Job("add", MitigationSetup("none"), "zen", REQUESTS, 2),
         ]
-        keys = {job_key(j, small_config, j.requests) for j in [base] + variants}
+        context = RunContext(small_config, REQUESTS)
+        keys = {j.key(context) for j in [base] + variants}
         assert len(keys) == len(variants) + 1
         # ... and the key is stable across processes/runs for equal inputs.
-        assert job_key(base, small_config, REQUESTS) == job_key(
-            Job("add", MitigationSetup("none"), "zen", REQUESTS, 1),
-            small_config,
-            REQUESTS,
-        )
+        assert base.key(context) == Job(
+            "add", MitigationSetup("none"), "zen", REQUESTS, 1
+        ).key(context)
 
     def test_corrupt_entry_is_a_miss(self, small_config, tmp_path):
         runner = make_runner(small_config, tmp_path, jobs=1)

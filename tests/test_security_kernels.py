@@ -443,19 +443,15 @@ class TestSecurityJobs:
     """The runner's SecurityJob batch API: caching and backend-blindness."""
 
     def test_cache_round_trip_and_backend_blind_key(self, tmp_path):
-        from repro.analysis.runner import (
-            ExperimentRunner, SecurityJob, security_job_key,
-        )
+        from repro.analysis.runner import ExperimentRunner, SecurityJob
 
         job = SecurityJob(
             attack="double_sided", rows=(70_000,), acts=200, window=4,
             tracker="mint", policy="fractal", seeds=6,
         )
         twin = dataclasses.replace(job, backend="scalar")
-        assert security_job_key(job) == security_job_key(twin)
-        assert security_job_key(job) != security_job_key(
-            dataclasses.replace(job, seeds=7)
-        )
+        assert job.key() == twin.key()
+        assert job.key() != dataclasses.replace(job, seeds=7).key()
 
         runner = ExperimentRunner(cache_dir=str(tmp_path), use_cache=True,
                                   jobs=1)

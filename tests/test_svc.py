@@ -21,14 +21,9 @@ from repro.analysis.runner import (
     Job,
     ResultCache,
     SecurityJob,
-    any_job_from_wire,
-    any_job_to_wire,
-    job_from_wire,
-    job_to_wire,
-    security_job_from_wire,
-    security_job_to_wire,
 )
 from repro.analysis.storage import DirectoryLock, LockBusyError
+from repro.jobs import JobSpec
 from repro.mc.setup import MitigationSetup
 from repro.svc import protocol
 from repro.svc.clock import Clock
@@ -193,10 +188,10 @@ class TestJobWire:
             MitigationSetup(mechanism="autorfm", tracker="mint", threshold=4),
             "rubix", 400, 7, segment_cycles=8000, backend="scalar",
         )
-        wire = job_to_wire(job)
+        wire = job.to_wire()
         assert wire["kind"] == "sim"
         assert wire["schema"] == JOB_WIRE_SCHEMA_VERSION
-        decoded = job_from_wire(json.loads(json.dumps(wire)))
+        decoded = Job.from_wire(json.loads(json.dumps(wire)))
         assert decoded == job
 
     def test_security_job_round_trips_losslessly(self):
@@ -204,8 +199,8 @@ class TestJobWire:
             acts=2000, window=4, tracker="mint", policy="fractal", seeds=3,
             scenario="abcd_k", scenario_params={"stride": 20},
         )
-        wire = security_job_to_wire(job)
-        decoded = security_job_from_wire(json.loads(json.dumps(wire)))
+        wire = job.to_wire()
+        decoded = SecurityJob.from_wire(json.loads(json.dumps(wire)))
         assert decoded == job
         assert isinstance(decoded.rows, tuple)
         assert isinstance(decoded.scenario_params, tuple)
@@ -213,28 +208,28 @@ class TestJobWire:
     def test_any_job_dispatches_on_kind(self):
         sim = Job("xz")
         sec = SecurityJob(seeds=2)
-        assert any_job_from_wire(any_job_to_wire(sim)) == sim
-        assert any_job_from_wire(any_job_to_wire(sec)) == sec
+        assert JobSpec.from_wire(sim.to_wire()) == sim
+        assert JobSpec.from_wire(sec.to_wire()) == sec
 
     def test_wrong_schema_version_is_refused(self):
-        wire = job_to_wire(Job("xz"))
+        wire = Job("xz").to_wire()
         wire["schema"] = JOB_WIRE_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema"):
-            job_from_wire(wire)
+            Job.from_wire(wire)
 
     def test_wrong_kind_is_refused(self):
-        wire = job_to_wire(Job("xz"))
+        wire = Job("xz").to_wire()
         wire["kind"] = "security"
         with pytest.raises(ValueError):
-            job_from_wire(wire)
+            Job.from_wire(wire)
         with pytest.raises(ValueError, match="kind"):
-            any_job_from_wire({"kind": "mystery", "schema": 1})
+            JobSpec.from_wire({"kind": "mystery", "schema": 1})
 
     def test_unknown_security_fields_are_refused(self):
-        wire = security_job_to_wire(SecurityJob())
+        wire = SecurityJob().to_wire()
         wire["surprise"] = 1
         with pytest.raises(ValueError, match="surprise"):
-            security_job_from_wire(wire)
+            SecurityJob.from_wire(wire)
 
 
 # ----------------------------------------------------------------------
