@@ -33,7 +33,8 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union,
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type,
+    Union,
 )
 
 from repro.cpu.system import MAPPINGS, SimulationResult, simulate
@@ -191,11 +192,29 @@ class Job(JobSpec):
     def decode_result(cls, raw: dict) -> SimulationResult:
         return result_from_dict(raw)
 
+    @classmethod
+    def summary(cls, payload: dict) -> str:
+        stats = payload["stats"]
+        banks = stats["banks"]
+        return (
+            f"cycles {stats['cycles']}, "
+            f"mitigations {sum(b['mitigations'] for b in banks)}, "
+            f"RFM commands {sum(b['rfm_commands'] for b in banks)}, "
+            f"seed {payload['seed']}, mapping {payload['mapping']}"
+        )
+
 
 # ----------------------------------------------------------------------
 # Result (de)serialization — all stats fields are integers, so a JSON
 # round-trip reproduces the result bit-for-bit.
 # ----------------------------------------------------------------------
+#: Stats field names in declaration order. Every field is an int, so a
+#: shallow per-field copy is exact and much cheaper than
+#: :func:`dataclasses.asdict`'s recursive deep copy.
+_BANK_FIELDS = tuple(f.name for f in dataclasses.fields(BankStats))
+_CORE_FIELDS = tuple(f.name for f in dataclasses.fields(CoreStats))
+
+
 def result_to_dict(result: SimulationResult) -> dict:
     """Plain-JSON form of a :class:`SimulationResult`."""
     stats = result.stats
@@ -207,8 +226,10 @@ def result_to_dict(result: SimulationResult) -> dict:
             "cycles": stats.cycles,
             "refresh_windows": stats.refresh_windows,
             "max_request_alerts": stats.max_request_alerts,
-            "banks": [dataclasses.asdict(b) for b in stats.banks],
-            "cores": [dataclasses.asdict(c) for c in stats.cores],
+            "banks": [{name: getattr(b, name) for name in _BANK_FIELDS}
+                      for b in stats.banks],
+            "cores": [{name: getattr(c, name) for name in _CORE_FIELDS}
+                      for c in stats.cores],
         },
     }
     if result.obs is not None:
@@ -300,22 +321,34 @@ class ResultCache:
             self.directory, f"{key}.seg-{boundary:015d}{_SNAPSHOT_SUFFIX}"
         )
 
-    def snapshot_boundaries(self, key: str) -> List[int]:
-        """Boundaries with an on-disk snapshot for ``key``, ascending."""
-        prefix = f"{key}.seg-"
-        boundaries = []
+    def _snapshots(self) -> Iterator[Tuple[str, int]]:
+        """``(key, boundary)`` of every segment snapshot on disk, from
+        one directory listing."""
         try:
             names = os.listdir(self.directory)
         except OSError:
-            return []
+            return
         for name in names:
-            if name.startswith(prefix) and name.endswith(_SNAPSHOT_SUFFIX):
-                raw = name[len(prefix):-len(_SNAPSHOT_SUFFIX)]
-                try:
-                    boundaries.append(int(raw))
-                except ValueError:
-                    continue
-        return sorted(boundaries)
+            if not name.endswith(_SNAPSHOT_SUFFIX):
+                continue
+            key, sep, raw = name[:-len(_SNAPSHOT_SUFFIX)].partition(".seg-")
+            if not sep:
+                continue
+            try:
+                yield key, int(raw)
+            except ValueError:
+                continue
+
+    def snapshot_boundaries(self, key: str) -> List[int]:
+        """Boundaries with an on-disk snapshot for ``key``, ascending."""
+        return sorted(b for k, b in self._snapshots() if k == key)
+
+    def snapshot_counts(self) -> Dict[str, int]:
+        """How many segment snapshots each key has on disk."""
+        counts: Dict[str, int] = {}
+        for key, _ in self._snapshots():
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
     def drop_snapshots(self, key: str) -> int:
         """Delete every segment snapshot for ``key``; returns the count."""
@@ -375,15 +408,15 @@ class ResultCache:
 
         Eviction order is file mtime (oldest first) across results and
         segment snapshots alike — a result that keeps hitting keeps its
-        mtime fresh via :meth:`get`'s touch, so hot entries survive.
+        mtime fresh via :meth:`read`'s touch, so hot entries survive.
 
         Multi-client safety: concurrent pruners are serialized by an
         ``O_EXCL`` lockfile (a busy lock means another process is already
         pruning, so this call returns ``skipped=True`` and removes
         nothing), and every victim is re-``stat``-ed immediately before
         its unlink — an entry whose mtime advanced since the scan was
-        hit-touched by a concurrent :meth:`get` and is spared. Together
-        with :meth:`get`'s touch-*before*-read ordering this closes the
+        hit-touched by a concurrent :meth:`read` and is spared. Together
+        with :meth:`read`'s touch-*before*-read ordering this closes the
         race where a pruner deletes the entry another worker just hit.
         """
         if max_bytes < 0:
@@ -447,38 +480,61 @@ class ResultCache:
         except OSError:
             pass
 
-    def load(self, key: str, kind: Type[JobSpec]) -> Any:
-        """Look up one stored result of job class ``kind``; None (a miss)
-        if absent, corrupt, stale, or of another kind.
+    def read(
+        self, key: str, kind: Type[JobSpec]
+    ) -> Optional[Tuple[Any, Any]]:
+        """The one validated read of an entry of job class ``kind``:
+        ``(section, value)``, the stored plain-JSON section and its
+        decoded result, or None (a miss) if absent, corrupt, stale, or of
+        another kind.
 
-        A hit refreshes the file's mtime, which is what :meth:`prune`
-        orders eviction by — entries that keep answering stay resident.
+        Decoding is the validation: an entry counts as a hit only if
+        ``kind.decode_result`` accepts its section. A hit refreshes the
+        file's mtime, which is what :meth:`prune` orders eviction by —
+        entries that keep answering stay resident.
         """
         self._touch(key)
         try:
             with open(self._path(key)) as f:
                 data = json.load(f)
-            if data.get("schema") != self.schema_version:
+            if (not isinstance(data, dict)
+                    or data.get("schema") != self.schema_version):
                 raise ValueError("schema mismatch")
-            value = kind.decode_result(data[kind.section])
+            section = data[kind.section]
+            value = kind.decode_result(section)
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
-        return value
+        return section, value
+
+    def load(self, key: str, kind: Type[JobSpec]) -> Any:
+        """Look up one stored result of job class ``kind``, decoded; None
+        on a miss (see :meth:`read`)."""
+        entry = self.read(key, kind)
+        return entry[1] if entry is not None else None
+
+    def load_payload(self, key: str, kind: Type[JobSpec]) -> Any:
+        """The validated stored section of one result of job class
+        ``kind``, as written (``kind.encode_result`` of the decoded
+        value); None on a miss (see :meth:`read`). What the sweep daemon
+        serves: no decode/encode round trip."""
+        entry = self.read(key, kind)
+        return entry[0] if entry is not None else None
 
     def store(self, key: str, kind: Type[JobSpec], value: Any) -> None:
         """Store one result of job class ``kind`` under ``key`` (atomic
         rename, crash-safe)."""
         os.makedirs(self.directory, exist_ok=True)
-        payload = {
-            "schema": self.schema_version,
-            kind.section: kind.encode_result(value),
-        }
+        text = json.dumps(
+            {"schema": self.schema_version,
+             kind.section: kind.encode_result(value)},
+            separators=(",", ":"),
+        )
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                json.dump(payload, f, separators=(",", ":"))
+                f.write(text)
             os.replace(tmp, self._path(key))
         except BaseException:
             if os.path.exists(tmp):
@@ -721,6 +777,11 @@ class SecurityJob(JobSpec):
             collect_pressure=False,
         )[0]
         return _security_results_to_dicts(results)
+
+    @classmethod
+    def summary(cls, payload: List[dict]) -> str:
+        worst = max(r["max_pressure"] for r in payload)
+        return f"{len(payload)} seed(s), worst pressure {worst:.1f}"
 
 
 def _security_results_to_dicts(results) -> List[dict]:

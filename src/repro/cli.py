@@ -32,6 +32,7 @@ from repro.analysis.runner import ExperimentRunner, Job
 from repro.analysis.storage import storage_overheads
 from repro.analysis.tables import render_table
 from repro.cpu.system import simulate
+from repro.jobs import JobSpec
 from repro.mc.setup import MECHANISMS, POLICIES, TRACKERS, MitigationSetup
 from repro.power.model import DramPowerModel
 from repro.security.fractal_model import fm_safe_trhd
@@ -818,21 +819,6 @@ def _svc_job_from_args(args: argparse.Namespace, workload: str) -> Job:
     )
 
 
-def _print_sim_result_dict(tag: str, data: dict) -> None:
-    """Headline metrics of one wire-form simulation result."""
-    stats = data["stats"]
-    mitigations = sum(b["mitigations"] for b in stats["banks"])
-    rfm = sum(b["rfm_commands"] for b in stats["banks"])
-    rows = [
-        ["cycles", stats["cycles"]],
-        ["mitigations", mitigations],
-        ["RFM commands", rfm],
-        ["seed", data["seed"]],
-        ["mapping", data["mapping"]],
-    ]
-    print(render_table(["metric", "value"], rows, title=tag))
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sweep-service daemon in the foreground."""
     from repro.svc import SweepService
@@ -875,17 +861,15 @@ def cmd_submit(args: argparse.Namespace) -> int:
             for name, job_id in zip(names, job_ids):
                 response = client.result(job_id, wait=True)
                 tag = "cache hit" if response["from_cache"] else "executed"
-                _print_sim_result_dict(
-                    f"{job_id} {name} ({tag})", response["result"]
-                )
+                print(f"{job_id} {name} ({tag}): "
+                      f"{Job.summary(response['result'])}")
         return 0
 
     print("no daemon on the socket; executing in-process", file=sys.stderr)
     runner = _runner_from_args(args)
     results = runner.run_many(jobs)
     for name, result in zip(names, results):
-        _print_sim_result_dict(f"{name} (in-process)",
-                               result_to_dict(result))
+        print(f"{name} (in-process): {Job.summary(result_to_dict(result))}")
     return 0
 
 
@@ -933,13 +917,9 @@ def cmd_result(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(response["result"], indent=2, sort_keys=True))
         return 0
-    if response["kind"] == "sim":
-        tag = "cache hit" if response["from_cache"] else "executed"
-        _print_sim_result_dict(f"{args.id} ({tag})", response["result"])
-    else:
-        pressures = [r["max_pressure"] for r in response["result"]]
-        print(f"{args.id}: {len(pressures)} seed(s), worst pressure "
-              f"{max(pressures):.1f}")
+    summary = JobSpec.kinds[response["kind"]].summary(response["result"])
+    tag = "cache hit" if response["from_cache"] else "executed"
+    print(f"{args.id} ({tag}): {summary}")
     return 0
 
 

@@ -242,6 +242,12 @@ class JobSpec:
             raise ValueError(f"malformed {cls.section} entry")
         return raw
 
+    @classmethod
+    def summary(cls, payload: Any) -> str:
+        """One line describing a result in its :meth:`encode_result`
+        form (what the sweep daemon serves)."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     @classmethod
     def _plan(cls) -> Tuple[_FieldPlan, ...]:

@@ -345,6 +345,15 @@ class CampaignJob(JobSpec):
             return run_campaign_cell(self)
         return run_campaign_cell(self, cache_dir=context.cache_dir, key=key)
 
+    @classmethod
+    def summary(cls, payload: dict) -> str:
+        return (
+            f"tolerated threshold {payload['tolerated_threshold']}, "
+            f"{len(payload['probes'])} probe(s), "
+            f"{payload['seeds_spent']} seeds spent "
+            f"({payload['seeds_saved_pct']:.1f}% saved)"
+        )
+
     def sprt_config(self) -> SprtConfig:
         """The probe decision rule this job pins."""
         return SprtConfig(self.alpha, self.beta, self.p0, self.p1)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro.jobs import JobSpec
 
@@ -57,6 +57,12 @@ class JobRecord:
     from_cache: bool = False  # answered without executing
     resumed_from: Optional[int] = None  # segment boundary of last resume
     merged_into: Optional[str] = None   # job_id of the in-flight twin
+    #: The validated cache section (``kind.encode_result`` form) read
+    #: when the record finished DONE; the first ``result`` fetch serves
+    #: and drops it, later fetches re-read the store.
+    payload: Optional[Union[Dict[str, Any], List[Any]]] = field(
+        default=None, repr=False, compare=False
+    )
     history: List[str] = field(default_factory=lambda: [QUEUED])
     #: Records with the same cache key that arrived while this one was
     #: in flight; completed together with it (the dedup'd-store path).

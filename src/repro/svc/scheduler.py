@@ -250,11 +250,13 @@ class SweepService:
                     primary.followers.append(record)
                     self._m_deduped.inc()
                     continue
-            # The shared store answers before any execution.
-            if self._cached_payload(record) is not None:
+            # The shared store answers before any execution; the entry
+            # read here is the one the `result` op serves.
+            payload = self._cached_payload(record)
+            if payload is not None:
                 record.from_cache = True
                 self._m_cache_hits.inc()
-                self._finish(record, DONE)
+                self._finish(record, DONE, payload)
                 continue
             self._m_cache_misses.inc()
             self._spawn(record)
@@ -311,8 +313,9 @@ class SweepService:
             if record.state == CANCELLED:
                 continue  # cancel() already killed and accounted for it
             if handle.exitcode == 0:
-                if self._cached_payload(record) is not None:
-                    self._finish(record, DONE)
+                payload = self._cached_payload(record)
+                if payload is not None:
+                    self._finish(record, DONE, payload)
                 else:
                     record.error = "worker exited without publishing a result"
                     self._finish(record, FAILED)
@@ -332,10 +335,17 @@ class SweepService:
         if self._wake is not None:
             self._wake.set()
 
-    def _finish(self, record: JobRecord, state: str) -> None:
-        """Terminal transition, follower resolution, cache upkeep."""
+    def _finish(
+        self, record: JobRecord, state: str, payload: Optional[Any] = None
+    ) -> None:
+        """Terminal transition, follower resolution, cache upkeep.
+
+        A DONE record (and each of its followers) keeps ``payload``, the
+        validated cache section, until its first ``result`` fetch.
+        """
         record.transition(state)
         if state == DONE:
+            record.payload = payload
             self._m_completed.inc()
         elif state == FAILED:
             self._m_failed.inc()
@@ -345,7 +355,7 @@ class SweepService:
         for follower in record.followers:
             follower.from_cache = True
             follower.error = record.error
-            self._finish(follower, state)
+            self._finish(follower, state, payload)
         record.followers = []
         self._prune_cache()
 
@@ -383,10 +393,9 @@ class SweepService:
         return job.key(self._context())
 
     def _cached_payload(self, record: JobRecord) -> Optional[Any]:
-        """The servable result payload for ``record`` (None on a miss)."""
-        kind = type(record.job)
-        value = self.cache.load(record.key, kind)
-        return kind.encode_result(value) if value is not None else None
+        """The servable result payload for ``record``: its cache entry's
+        validated section as stored (None on a miss)."""
+        return self.cache.load_payload(record.key, type(record.job))
 
     # ------------------------------------------------------------------
     # Client protocol
@@ -482,10 +491,9 @@ class SweepService:
             records = sorted(
                 self.queue.records.values(), key=lambda r: r.seq
             )
+        snapshots = self.cache.snapshot_counts()
         return protocol.ok(jobs=[
-            r.status_record(
-                snapshots=len(self.cache.snapshot_boundaries(r.key))
-            )
+            r.status_record(snapshots=snapshots.get(r.key, 0))
             for r in records
         ])
 
@@ -510,7 +518,11 @@ class SweepService:
                 state=record.state,
                 job_error=record.error,
             )
-        payload = self._cached_payload(record)
+        # The first fetch serves the entry read when the record finished;
+        # later ones re-read the store, which may have evicted it since.
+        payload, record.payload = record.payload, None
+        if payload is None:
+            payload = self._cached_payload(record)
         if payload is None:
             return protocol.error(
                 f"result for {record.job_id} was evicted from the cache",

@@ -125,3 +125,74 @@ class TestCliSubmitFallback:
         ])
         assert code == 2
         assert "unknown workloads" in capsys.readouterr().err
+
+
+class _StubClient:
+    """Stands in for :class:`repro.svc.SweepClient`: answers every
+    ``result`` with one canned response."""
+
+    response: dict = {}
+
+    def __init__(self, socket_path=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def result(self, job_id, wait=True, timeout=None):
+        return self.response
+
+
+SIM_PAYLOAD = {
+    "setup": {"mechanism": "autorfm"},
+    "mapping": "rubix",
+    "seed": 3,
+    "stats": {
+        "cycles": 1234, "refresh_windows": 2, "max_request_alerts": 1,
+        "banks": [{"mitigations": 1, "rfm_commands": 2},
+                  {"mitigations": 4, "rfm_commands": 0}],
+        "cores": [],
+    },
+}
+SECURITY_PAYLOAD = [
+    {"max_pressure": 41, "max_pressure_row": 1001, "activations": 2000,
+     "mitigations": 500, "victim_refreshes": 2000},
+    {"max_pressure": 39, "max_pressure_row": 1003, "activations": 2000,
+     "mitigations": 500, "victim_refreshes": 2000},
+]
+CAMPAIGN_PAYLOAD = {
+    "tolerated_threshold": 17,
+    "seeds_spent": 256,
+    "probes": [{"threshold": 16, "verdict": "unsafe", "seeds": 12}],
+    "fixed_cost_seeds": 800,
+    "seeds_saved_pct": 68.0,
+    "cell": {"tracker": "mint", "policy": "fractal", "window": 4},
+}
+
+
+class TestCliResult:
+    @pytest.mark.parametrize("kind, payload, expected", [
+        ("sim", SIM_PAYLOAD,
+         "J000007 (executed): cycles 1234, mitigations 5, RFM commands 2, "
+         "seed 3, mapping rubix"),
+        ("security", SECURITY_PAYLOAD,
+         "J000007 (executed): 2 seed(s), worst pressure 41.0"),
+        ("campaign", CAMPAIGN_PAYLOAD,
+         "J000007 (executed): tolerated threshold 17, 1 probe(s), "
+         "256 seeds spent (68.0% saved)"),
+    ])
+    def test_result_summarizes_every_kind(
+        self, monkeypatch, capsys, kind, payload, expected
+    ):
+        import repro.svc
+
+        monkeypatch.setattr(repro.svc, "SweepClient", _StubClient)
+        monkeypatch.setattr(_StubClient, "response", {
+            "ok": True, "state": "done", "kind": kind,
+            "from_cache": False, "result": payload,
+        })
+        assert main(["result", "J000007"]) == 0
+        assert capsys.readouterr().out.strip() == expected

@@ -8,13 +8,17 @@ jobs without running a single simulation.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analysis.runner import (
     CACHE_SCHEMA_VERSION,
+    CampaignJob,
     ExperimentRunner,
     Job,
     ResultCache,
+    SecurityJob,
 )
 from repro.jobs import RunContext
 from repro.mc.setup import MitigationSetup
@@ -173,6 +177,85 @@ class TestResultCache:
         removed = runner.cache.clear()
         assert removed == len(sample_jobs())
         assert len(runner.cache) == 0
+
+
+def _store_entry(runner, name):
+    """Run one small job of kind ``name`` through ``runner`` (which stores
+    it); returns ``(job class, cache key)``."""
+    if name in ("sim", "sim_observed"):
+        obs = ObsConfig(trace=True, trace_capacity=64) if name != "sim" else None
+        job = Job("add", MitigationSetup("autorfm", threshold=4), "rubix",
+                  REQUESTS, 1, obs=obs)
+        runner.run(job)
+    elif name == "security":
+        job = SecurityJob(acts=2000, window=4, seeds=3)
+        runner.run_security(job)
+    else:
+        job = CampaignJob(window=4, acts=1200, max_seeds=80)
+        runner.run_campaign(job)
+    return type(job), runner.key_for(job)
+
+
+def _corrupt(path, fault):
+    """Damage the cache entry at ``path`` in the way ``fault`` names."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    entry = json.loads(raw)
+    if fault == "truncated":
+        damaged = raw[: len(raw) // 2]
+    elif fault == "bit_flipped":
+        damaged = bytes([raw[0] ^ 1]) + raw[1:]  # '{' -> 'z'
+    elif fault == "not_an_object":
+        damaged = b"[]"
+    elif fault == "foreign_schema":
+        entry["schema"] = CACHE_SCHEMA_VERSION + 1
+        damaged = json.dumps(entry).encode()
+    else:  # wrong_section: another kind's entry under this key
+        section = next(k for k in entry if k != "schema")
+        other = "security" if section != "security" else "result"
+        entry[other] = entry.pop(section)
+        damaged = json.dumps(entry).encode()
+    with open(path, "wb") as f:
+        f.write(damaged)
+
+
+CACHE_FAULTS = (
+    "truncated", "bit_flipped", "not_an_object", "foreign_schema",
+    "wrong_section",
+)
+
+
+class TestCacheReadPath:
+    """``load`` and ``load_payload`` share one validated read: the payload
+    is the stored section exactly as the decoded value re-encodes, and a
+    damaged entry is a miss on both."""
+
+    @pytest.mark.parametrize(
+        "name", ["sim", "sim_observed", "security", "campaign"]
+    )
+    def test_payload_is_the_encoded_decoded_value(
+        self, small_config, tmp_path, name
+    ):
+        runner = make_runner(small_config, tmp_path, jobs=1)
+        kind, key = _store_entry(runner, name)
+        cache = runner.cache
+        payload = cache.load_payload(key, kind)
+        assert payload is not None
+        assert payload == kind.encode_result(cache.load(key, kind))
+        with open(cache._path(key)) as f:
+            assert payload == json.load(f)[kind.section]
+
+    @pytest.mark.parametrize("fault", CACHE_FAULTS)
+    def test_damaged_entry_is_a_miss_on_both_paths(
+        self, small_config, tmp_path, fault
+    ):
+        runner = make_runner(small_config, tmp_path, jobs=1)
+        kind, key = _store_entry(runner, "sim")
+        cache = ResultCache(runner.cache.directory)
+        _corrupt(cache._path(key), fault)
+        assert cache.load(key, kind) is None
+        assert cache.load_payload(key, kind) is None
+        assert (cache.hits, cache.misses) == (0, 2)
 
 
 class TestJobValidation:

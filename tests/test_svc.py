@@ -351,3 +351,24 @@ class TestCachePruneRace:
         assert not os.path.exists(
             os.path.join(cache.directory, PRUNE_LOCK_NAME)
         )
+
+
+class TestSnapshotIndex:
+    def test_counts_match_per_key_boundaries(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        snapshots = [("k1", 300), ("k1", 100), ("k2", 200)]
+        junk = ["k3.seg-notanumber.ckpt.gz", "k1.json", "k4.ckpt.gz"]
+        paths = [cache.snapshot_path(k, b) for k, b in snapshots]
+        paths += [os.path.join(cache.directory, name) for name in junk]
+        for path in paths:
+            open(path, "w").close()
+        counts = cache.snapshot_counts()
+        assert counts == {"k1": 2, "k2": 1}
+        for key in ("k1", "k2", "k3", "k4"):
+            assert counts.get(key, 0) == len(cache.snapshot_boundaries(key))
+        assert cache.snapshot_boundaries("k1") == [100, 300]
+
+    def test_missing_directory_has_no_snapshots(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "absent"))
+        assert cache.snapshot_counts() == {}
+        assert cache.snapshot_boundaries("k") == []

@@ -24,6 +24,7 @@ from repro.analysis.runner import (
     result_to_dict,
 )
 from repro.cli import main
+from tests.test_runner import CACHE_FAULTS, _corrupt
 from repro.mc.setup import MitigationSetup
 from repro.svc import (
     ServiceError,
@@ -256,6 +257,104 @@ class TestServiceBatch:
     def test_daemon_available_reflects_liveness(self, daemon, service_dir):
         assert daemon_available(daemon.socket_path)
         assert not daemon_available(service_dir + "/nope.sock")
+
+
+def count_reads(service):
+    """Wrap the daemon cache's one read primitive; returns the per-key
+    call counts, filled as the daemon reads."""
+    calls = {}
+    read = service.cache.read
+
+    def counted(key, kind):
+        calls[key] = calls.get(key, 0) + 1
+        return read(key, kind)
+
+    service.cache.read = counted
+    return calls
+
+
+class TestServiceHitPath:
+    """A DONE record carries the validated entry it finished with to its
+    first `result` fetch; later fetches read the store again."""
+
+    def test_warm_hit_reads_its_entry_once(self, daemon):
+        job = Job("wrf", SETUP, "rubix", REQUESTS, 2)
+        key = daemon.key_for(job)
+        reads = count_reads(daemon)
+        with SweepClient(daemon.socket_path) as client:
+            (cold_id,) = client.submit([job])
+            cold = client.result(cold_id, wait=True, timeout=180)
+            # The dispatch-time miss, then the publish check at reap.
+            assert reads[key] == 2
+            (warm_id,) = client.submit([job])
+            warm = client.result(warm_id, wait=True, timeout=60)
+            assert warm["from_cache"]
+            assert reads[key] == 3  # the dispatch-time hit, served as read
+            assert canonical(warm["result"]) == canonical(cold["result"])
+
+            again = client.result(warm_id, wait=False)
+            assert reads[key] == 4  # a later fetch answers from the cache
+            assert canonical(again["result"]) == canonical(warm["result"])
+            counters = client.cache_stats()["metrics"]["counters"]
+        assert counters["svc.cache_hits"] == 1
+        assert counters["svc.cache_misses"] == 1
+
+    def test_later_fetch_of_a_deleted_entry_reports_eviction(self, daemon):
+        job = Job("wrf", SETUP, "rubix", REQUESTS, 3)
+        with SweepClient(daemon.socket_path) as client:
+            (job_id,) = client.submit([job])
+            first = client.result(job_id, wait=True, timeout=180)
+            assert first["state"] == "done"
+            daemon.cache.clear()
+            with pytest.raises(ServiceError, match="evicted"):
+                client.result(job_id, wait=False)
+
+    def test_dedup_follower_is_served_its_primarys_entry(self, daemon):
+        job = Job("xz", SETUP, "zen", REQUESTS, 4)
+        key = daemon.key_for(job)
+        reads = count_reads(daemon)
+        with SweepClient(daemon.socket_path) as client:
+            ids = client.submit([job, job])
+            first, second = (
+                client.result(i, wait=True, timeout=180) for i in ids
+            )
+            (follower,) = client.status(ids[1])
+        assert follower["merged_into"] == ids[0]
+        assert canonical(first["result"]) == canonical(second["result"])
+        assert reads[key] == 2  # the primary's miss and its publish check
+
+    def test_status_lists_the_cache_directory_once(self, daemon):
+        jobs = [Job("wrf", SETUP, "rubix", REQUESTS, s) for s in (6, 7, 8)]
+        listings = []
+        scan = daemon.cache._snapshots
+
+        def counted():
+            listings.append(1)
+            return scan()
+
+        with SweepClient(daemon.socket_path) as client:
+            for job_id in client.submit(jobs):
+                client.result(job_id, wait=True, timeout=180)
+            daemon.cache._snapshots = counted
+            records = client.status()
+        assert len(records) == 3
+        assert [r["snapshots"] for r in records] == [0, 0, 0]
+        assert len(listings) == 1
+
+    @pytest.mark.parametrize("fault", CACHE_FAULTS)
+    def test_damaged_entry_is_recomputed(self, daemon, fault):
+        job = Job("wrf", SETUP, "rubix", REQUESTS, 5)
+        with SweepClient(daemon.socket_path) as client:
+            (first_id,) = client.submit([job])
+            first = client.result(first_id, wait=True, timeout=180)
+            _corrupt(daemon.cache._path(daemon.key_for(job)), fault)
+            (again_id,) = client.submit([job])
+            again = client.result(again_id, wait=True, timeout=180)
+            counters = client.cache_stats()["metrics"]["counters"]
+        assert not again["from_cache"]
+        assert canonical(again["result"]) == canonical(first["result"])
+        assert counters["svc.cache_misses"] == 2
+        assert counters.get("svc.cache_hits", 0) == 0
 
 
 class TestServiceCli:
