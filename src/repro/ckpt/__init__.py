@@ -4,10 +4,10 @@ Three layers:
 
 * :mod:`repro.ckpt.contract` — per-class *state contracts*: every
   checkpointable class declares exactly which attributes are live state,
-  which are derived wiring, and which are construction constants; the
-  contract lint (``tests/test_ckpt_contract.py``) fails on any attribute
-  assignment the contract does not account for, so state omissions are a
-  test failure, not a silent divergence.
+  which are derived wiring, and which are construction constants; every
+  capture checks each object it serialises against its contract and
+  raises :class:`ContractError` on an attribute the contract does not
+  classify, so a state omission is an error, not a silent divergence.
 * :mod:`repro.ckpt.snapshot` — the versioned, integrity-hashed on-disk
   format (canonical JSON, gzipped, sha256 over the body, atomic
   write-then-rename).
@@ -26,8 +26,8 @@ from repro.ckpt.contract import (
     CodecError,
     ContractError,
     StateContract,
-    assigned_attributes,
     capture_fields,
+    checked_contract,
     checkpointable,
     checkpointable_dataclass,
     class_by_name,
@@ -38,7 +38,6 @@ from repro.ckpt.contract import (
     is_checkpointable,
     register_value_type,
     restore_fields,
-    verify_contract,
 )
 from repro.ckpt.snapshot import (
     CKPT_FORMAT_VERSION,
@@ -79,8 +78,8 @@ __all__ = [
     "CodecError",
     "ContractError",
     "StateContract",
-    "assigned_attributes",
     "capture_fields",
+    "checked_contract",
     "checkpointable",
     "checkpointable_dataclass",
     "class_by_name",
@@ -91,7 +90,6 @@ __all__ = [
     "is_checkpointable",
     "register_value_type",
     "restore_fields",
-    "verify_contract",
     "CKPT_FORMAT_VERSION",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_SUFFIX",

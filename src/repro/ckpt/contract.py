@@ -5,34 +5,31 @@ Every class whose live state goes into a snapshot declares, via the
 (captured and restored), which are *derived* (rebuilt at construction:
 caches, wiring, observability hooks), and which are *const* (fixed by the
 configuration the snapshot's metadata reconstructs). There is no blind
-``__dict__`` pickling: an attribute a class assigns but never classifies is
-a lint error (see :func:`verify_contract` and
-``tests/test_ckpt_contract.py``), so new simulator state cannot silently
-escape the snapshot.
+``__dict__`` pickling, and no attribute escapes the contract either:
+:func:`checked_contract` runs on every object a capture serialises and
+raises :class:`ContractError` when the object holds an attribute its
+contract does not classify, however that attribute was bound (its own
+methods, a helper it was passed to, ``setattr``). A checkpoint is refused
+at the point where it would otherwise silently drop state.
 
-The AST walk behind :func:`assigned_attributes` is shared with the static
-analysis suite: it lives in :mod:`repro.lint.astutil`, which is itself
-stdlib-only, so this module still imports cleanly from any layer (sim,
-dram, trackers, mc, cpu, obs) without cycles.
+This module imports nothing from ``repro`` beyond the standard library
+and numpy, so any layer (sim, dram, trackers, mc, cpu, obs) can register
+its classes without import cycles.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
-import inspect
-import textwrap
 from dataclasses import dataclass
 from collections import OrderedDict, deque
-from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple, Type
+from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.lint.astutil import collect_self_assignment_targets
-
 
 class ContractError(ValueError):
-    """A state contract is malformed or missing."""
+    """A state contract is malformed, missing, or leaves an attribute of
+    an object being captured unclassified."""
 
 
 @dataclass(frozen=True)
@@ -163,6 +160,33 @@ def effective_contract(cls: type) -> StateContract:
             f"{class_name(cls)} is not registered as checkpointable"
         )
     return StateContract(tuple(state), tuple(derived), tuple(const))
+
+
+def checked_contract(obj: Any) -> StateContract:
+    """``obj``'s effective contract, after checking it classifies ``obj``.
+
+    Raises :class:`ContractError` naming the class and the attributes when
+    ``obj`` holds an instance attribute (in ``__dict__`` or a filled slot)
+    outside the contract's state/derived/const fields. Attributes bound
+    lazily are checked on the captures that see them.
+    """
+    cls = type(obj)
+    contract = effective_contract(cls)
+    names = set(getattr(obj, "__dict__", ()))
+    for klass in cls.__mro__:
+        slots = klass.__dict__.get("__slots__", ())
+        if isinstance(slots, str):
+            slots = (slots,)
+        names.update(s for s in slots if hasattr(obj, s))
+    unclassified = names - contract.all_fields
+    if unclassified:
+        raise ContractError(
+            f"{class_name(cls)} holds attributes its state contract does "
+            f"not classify: {sorted(unclassified)}; add each to state= "
+            f"(live, checkpointed), derived= (rebuilt by the constructor) "
+            f"or const= (construction input)"
+        )
+    return contract
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +337,10 @@ def capture_fields(obj: Any, overrides: Overrides = None) -> Dict[str, Any]:
     with bespoke encodings (e.g. the engine's event heap). Attributes that
     do not exist yet (created lazily, such as the controller's same-bank
     refresh cursor) are simply omitted and left untouched on restore.
+    Raises :class:`ContractError` when ``obj`` holds an attribute its
+    contract does not classify (see :func:`checked_contract`).
     """
-    contract = effective_contract(type(obj))
+    contract = checked_contract(obj)
     out: Dict[str, Any] = {}
     for name in contract.state_fields:
         if overrides and name in overrides:
@@ -339,43 +365,3 @@ def restore_fields(obj: Any, data: Dict[str, Any], overrides: Overrides = None) 
         existing = getattr(obj, name, _MISSING)
         decoded = decode_value(data[name], existing)
         setattr(obj, name, decoded)
-
-
-# ----------------------------------------------------------------------
-# Contract linting
-# ----------------------------------------------------------------------
-
-def assigned_attributes(cls: type) -> Set[str]:
-    """Every ``self.X`` a class (or its bases) binds, found by AST walk.
-
-    All methods are inspected, not just ``__init__`` — some state is first
-    assigned lazily (e.g. the controller's ``_ref_cursor`` appears in
-    ``_schedule_refreshes``). Dataclass fields count as assigned too. The
-    walk itself is :func:`repro.lint.astutil.collect_self_assignment_targets`,
-    shared with the ``repro lint`` checkpoint-contract pass so the runtime
-    and static checks cannot drift apart.
-    """
-    names: Set[str] = set()
-    for klass in cls.__mro__:
-        if klass in (object,) or klass.__module__ in ("abc", "builtins"):
-            continue
-        if dataclasses.is_dataclass(klass):
-            names.update(f.name for f in dataclasses.fields(klass))
-        try:
-            source = textwrap.dedent(inspect.getsource(klass))
-        except (OSError, TypeError):
-            continue
-        tree = ast.parse(source)
-        names.update(collect_self_assignment_targets(tree))
-    return names
-
-
-def verify_contract(cls: type) -> FrozenSet[str]:
-    """Return the attributes ``cls`` assigns but its contract omits.
-
-    An empty result means the contract fully classifies the class. The
-    lint test fails on any non-empty result, making un-checkpointed state
-    an error rather than a silent divergence.
-    """
-    contract = effective_contract(cls)
-    return frozenset(assigned_attributes(cls) - contract.all_fields)

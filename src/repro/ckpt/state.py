@@ -29,6 +29,7 @@ import numpy as np
 from repro.ckpt.contract import (
     CodecError,
     capture_fields,
+    checked_contract,
     decode_value,
     encode_value,
     restore_fields,
@@ -170,6 +171,23 @@ def _trace_to_dict(trace: Trace) -> Dict[str, Any]:
     }
 
 
+def _check_bespoke_contracts(system: SimulatedSystem) -> None:
+    """Contract-check the registered objects :func:`capture` serialises
+    by hand rather than through :func:`capture_fields`."""
+    objects: List[Any] = [
+        system, system.streams, system.controller._streams,
+    ]
+    obs = system.obs
+    if obs is not None and obs.enabled:
+        if obs.metrics is not None:
+            objects.append(obs.metrics)
+            objects.extend(metric for _, _, metric in obs.metrics.series())
+        if obs.tracer is not None:
+            objects.append(obs.tracer)
+    for obj in objects:
+        checked_contract(obj)
+
+
 def capture(system: SimulatedSystem, boundary: Optional[int] = None) -> Snapshot:
     """Capture the full live state of ``system`` into a :class:`Snapshot`.
 
@@ -178,7 +196,9 @@ def capture(system: SimulatedSystem, boundary: Optional[int] = None) -> Snapshot
     Capture cost is published to the run's wall-clock profiler as phase
     ``ckpt.capture`` — deliberately *not* into the deterministic metrics
     registry, which must stay bit-identical between straight and resumed
-    runs.
+    runs. Raises :class:`~repro.ckpt.contract.ContractError` when any
+    object it serialises holds an attribute its state contract does not
+    classify.
     """
     with _profiled(system, "ckpt.capture"):
         engine = system.engine
@@ -188,6 +208,7 @@ def capture(system: SimulatedSystem, boundary: Optional[int] = None) -> Snapshot
         # arbitrary cycle never changes the final values.
         if system.obs is not None and system.obs.enabled:
             system.flush_obs()
+        _check_bespoke_contracts(system)
         owner_ids = {id(obj): key for key, obj in _owners(system).items()}
 
         meta: Dict[str, Any] = {

@@ -694,6 +694,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         load_baseline,
         render,
         run_lint,
+        selected_rules,
     )
 
     if args.list_rules:
@@ -701,6 +702,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
             for rule in lint_pass.rules:
                 print(f"{rule.rule_id}  {rule.name:<22} {rule.summary}")
         return 0
+    unknown = [
+        token for token in args.rule or () if not selected_rules(None, [token])
+    ]
+    if unknown:
+        print(f"lint: unknown rule(s) {', '.join(unknown)}; "
+              "see `repro lint --list-rules`", file=sys.stderr)
+        return 2
     if args.changed:
         scope = args.paths or ["src/repro"]
         paths = _git_changed_files(scope)
@@ -733,11 +741,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         # fast pre-commit mode; CI runs the full interprocedural set).
         project=not args.changed,
     )
-    if args.changed:
-        # A scoped run cannot re-derive findings for unscanned files, so
-        # baseline entries outside the slice would all look stale; stale
-        # detection is meaningful only for full-tree runs.
-        result.stale_baseline = []
     if args.update_baseline:
         keep = [f for f in result.findings if f.status != "suppressed"]
         Baseline.from_findings(keep, previous=baseline).save(args.baseline)

@@ -215,7 +215,7 @@ class JobSpec:
             material[plan.name] = _plain(value)
         if self.flat_key:
             payload = dict(material, schema=ctx.schema_version,
-                           config=dataclasses.asdict(ctx.config))
+                           config=_config_plain(ctx.config))
         else:
             payload = {"schema": ctx.schema_version, "kind": self.kind,
                        "job": material}
@@ -349,6 +349,20 @@ def _is_set(value: Any) -> bool:
 # ----------------------------------------------------------------------
 # Field codecs
 # ----------------------------------------------------------------------
+#: The last config keyed and its ``dataclasses.asdict`` form: a runner or
+#: daemon keys every job under one config object.
+_LAST_CONFIG: Tuple[Any, Dict[str, Any]] = (None, {})
+
+
+def _config_plain(config: Any) -> Dict[str, Any]:
+    """The key form of a (frozen) system config, derived once per config
+    object in a row; callers must not mutate it."""
+    global _LAST_CONFIG
+    if _LAST_CONFIG[0] is not config:
+        _LAST_CONFIG = (config, dataclasses.asdict(config))
+    return _LAST_CONFIG[1]
+
+
 def _plain(value: Any) -> Any:
     """JSON form of a field value: dataclasses as dicts, tuples as lists."""
     if dataclasses.is_dataclass(value):

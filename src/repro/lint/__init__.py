@@ -10,26 +10,26 @@ violation ships:
 * **rng-stream** (``RNG001``/``RNG002``) — every RNG construction flows
   from :class:`repro.sim.rng.RngStreams` or a ``SeedSequence`` parameter;
 * **checkpoint-contract** (``CKPT001``) — mutable sim-critical classes
-  declare a state contract (the runtime half lives in
-  :mod:`repro.ckpt.contract`, which shares this package's AST walk);
+  declare a state contract at all (whether a registered class's contract
+  covers every attribute is checked on each capture, by
+  :func:`repro.ckpt.contract.checked_contract`);
 * **schedulable-callback** (``CB001``) — event-heap callbacks are bound
   methods or partials, never closures;
 * **obs-naming** (``OBS001``/``OBS002``) — metric/span names are literal
   and convention-shaped.
 
 On top of the per-module passes sits a whole-program layer
-(:mod:`repro.lint.graph` + :mod:`repro.lint.dataflow`) whose passes see
-the full ``src/repro`` tree through one call graph per run:
+(:mod:`repro.lint.graph`, one call graph per run over the full
+``src/repro`` tree) with one pass:
 
-* **wire-schema** (``WIRE002``) — daemon and client agree on the
-  protocol op set;
-* **checkpoint-flow** (``CKPT002``) — self-attributes written by helpers
-  the object escapes to are covered by the ``@checkpointable`` contract;
 * **async-blocking** (``ASYNC001``) — nothing reachable from the
   ``repro.svc`` event loop blocks it.
 
-Job wire codecs and cache keys need no pass: :mod:`repro.jobs` derives
-both from the job dataclass fields, so they agree by construction.
+Some contracts need no pass because they hold by construction: job wire
+codecs and cache keys are derived from the job dataclass fields
+(:mod:`repro.jobs`), and the daemon's op dispatch table is built from the
+protocol's ``OPS`` when :mod:`repro.svc.scheduler` is imported, which
+fails on an op without a handler.
 
 Run it as ``python -m repro lint [paths]`` (or ``make lint``); suppress a
 justified finding inline with ``# repro: lint-ignore[rule-id]`` or in the
@@ -38,8 +38,8 @@ lint-fast``) lints only git-modified files and skips the whole-program
 layer for quick pre-commit runs. See ``docs/static-analysis.md`` for the
 rule catalog.
 
-This package (like :mod:`repro.ckpt.contract`, which imports it) stays
-dependency-free within ``repro`` so any layer can use it without cycles.
+Nothing in the simulator imports this package; it is loaded only by the
+``repro lint`` command and its tests.
 """
 
 from repro.lint.base import LintPass, ModuleSource, ProjectLintPass
@@ -51,6 +51,7 @@ from repro.lint.driver import (
     lint_source,
     load_baseline,
     run_lint,
+    selected_rules,
 )
 from repro.lint.findings import Finding, LintResult, Rule
 from repro.lint.graph import ProjectIndex, build_project
@@ -79,4 +80,5 @@ __all__ = [
     "load_baseline",
     "render",
     "run_lint",
+    "selected_rules",
 ]

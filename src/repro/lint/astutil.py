@@ -1,9 +1,4 @@
-"""Shared AST helpers for the lint passes and the checkpoint contract.
-
-This module is deliberately dependency-free within ``repro`` (stdlib only):
-:mod:`repro.ckpt.contract` delegates its ``self.X``-assignment walk here, so
-it must stay importable from any layer without cycles.
-"""
+"""Shared AST helpers for the lint passes (stdlib only)."""
 
 from __future__ import annotations
 
@@ -52,13 +47,6 @@ def constant_str(node: Optional[ast.expr]) -> Optional[str]:
     return None
 
 
-def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Yield every function/async-function/lambda body owner in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def decorator_names(node: ast.ClassDef) -> Set[str]:
     """The trailing identifier of each decorator on a class.
 
@@ -87,38 +75,6 @@ def class_is_frozen_dataclass(node: ast.ClassDef) -> bool:
                 if kw.value.value is True:
                     return True
     return False
-
-
-# ----------------------------------------------------------------------
-# self.X assignment collection (shared with repro.ckpt.contract)
-# ----------------------------------------------------------------------
-
-def _collect_assign_target(node: ast.AST, names: Set[str]) -> None:
-    if isinstance(node, ast.Attribute):
-        if isinstance(node.value, ast.Name) and node.value.id == "self":
-            names.add(node.attr)
-    elif isinstance(node, (ast.Tuple, ast.List)):
-        for element in node.elts:
-            _collect_assign_target(element, names)
-    # Subscript / Starred targets mutate existing containers, not bindings.
-
-
-def collect_self_assignment_targets(tree: ast.AST) -> Set[str]:
-    """Every attribute name bound via ``self.X = ...`` anywhere in ``tree``.
-
-    Covers plain, augmented, and annotated assignments, and tuple/list
-    unpacking targets. Subscript targets (``self.d[k] = v``) mutate an
-    existing container rather than binding a new attribute, so they do not
-    count — exactly the semantics the checkpoint contract lint needs.
-    """
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                _collect_assign_target(target, names)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            _collect_assign_target(node.target, names)
-    return names
 
 
 def self_assignments(tree: ast.AST) -> Iterator[Tuple[str, ast.AST, ast.AST]]:

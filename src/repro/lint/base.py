@@ -176,7 +176,7 @@ class ProjectLintPass(LintPass):
 
     A project pass sees every parsed module at once through a
     :class:`~repro.lint.graph.ProjectIndex` instead of one module at a
-    time, so it can follow calls and dataflow across files. The driver
+    time, so it can follow calls across files. The driver
     builds the index once per run and calls :meth:`check_project`; the
     per-module :meth:`check` never runs (``applies_to`` is False).
 

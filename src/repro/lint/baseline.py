@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.findings import BASELINED, Finding
 
@@ -99,30 +99,37 @@ class Baseline:
             handle.write("\n")
 
     # ------------------------------------------------------------------
-    def apply(self, findings: List[Finding]) -> List[BaselineEntry]:
+    def apply(
+        self,
+        findings: List[Finding],
+        paths: Iterable[str],
+        rules: Iterable[str],
+    ) -> List[BaselineEntry]:
         """Mark matching findings BASELINED; return the stale entries.
 
         Each entry suppresses up to ``count`` findings with the same rule,
-        (normalised) path, and stripped line text. Entries left with unused
-        capacity on code that no longer triggers them are *stale* — the
-        caller reports them so the baseline shrinks as code heals.
+        (normalised) path, and stripped line text. An entry left with
+        unused capacity is *stale* — the caller reports it so the baseline
+        shrinks as code heals — but only when this run checked it: its
+        path is among the scanned ``paths`` and its rule among the
+        ``rules`` that ran.
         """
         budget: Dict[Tuple[str, str, str], int] = {}
         by_key: Dict[Tuple[str, str, str], BaselineEntry] = {}
         for entry in self.entries:
             budget[entry.key()] = budget.get(entry.key(), 0) + entry.count
             by_key[entry.key()] = entry
-        used: Dict[Tuple[str, str, str], int] = {}
         for finding in findings:
             key = (finding.rule_id, _norm_path(finding.path), finding.context)
             if budget.get(key, 0) > 0:
                 budget[key] -= 1
-                used[key] = used.get(key, 0) + 1
                 finding.status = BASELINED
                 finding.justification = by_key[key].justification
+        scanned = {_norm_path(path) for path in paths}
+        ran = set(rules)
         return [
             by_key[key] for key, remaining in sorted(budget.items())
-            if remaining > 0
+            if remaining > 0 and key[1] in scanned and key[0] in ran
         ]
 
     @classmethod

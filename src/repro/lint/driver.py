@@ -8,8 +8,9 @@ The pipeline per run:
 4. drop findings covered by a same-line ``# repro: lint-ignore[rule]``
    pragma (kept in the result, marked ``suppressed``),
 5. downgrade findings matched by the checked-in baseline to warnings,
-6. report stale baseline entries so the suppression file shrinks as the
-   code heals.
+6. report stale baseline entries — those for a scanned file and a rule
+   that ran, which no finding used — so the suppression file shrinks as
+   the code heals.
 
 The exit contract (used by ``repro lint`` and CI): new findings fail,
 baselined findings warn, suppressed findings are invisible by default.
@@ -18,11 +19,11 @@ baselined findings warn, suppressed findings are invisible by default.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.base import LintPass, ModuleSource, ProjectLintPass
 from repro.lint.baseline import Baseline
-from repro.lint.findings import Finding, LintResult, SUPPRESSED
+from repro.lint.findings import Finding, LintResult, Rule, SUPPRESSED
 from repro.lint.graph import build_project
 from repro.lint.passes import ALL_PASSES, ALL_RULES
 
@@ -56,22 +57,34 @@ def _display_path(path: str, relative_to: Optional[str]) -> str:
     return path.replace(os.sep, "/")
 
 
+def selected_rules(
+    passes: Optional[Iterable[LintPass]],
+    rule_filter: Optional[Sequence[str]],
+) -> List[Rule]:
+    """The rules of ``passes`` (default: every registered pass) that
+    ``rule_filter`` names by id or name; all of them when it is empty."""
+    return [
+        rule
+        for lint_pass in (ALL_PASSES if passes is None else passes)
+        for rule in lint_pass.rules
+        if not rule_filter
+        or any(rule.matches_token(token) for token in rule_filter)
+    ]
+
+
 def _select_passes(
     passes: Optional[Iterable[LintPass]],
     rule_filter: Optional[Sequence[str]],
 ) -> List[LintPass]:
     selected = list(passes) if passes is not None else list(ALL_PASSES)
+    return [p for p in selected if selected_rules([p], rule_filter)]
+
+
+def _wanted(rule_filter: Optional[Sequence[str]]) -> Optional[Set[str]]:
+    """Ids of the registered rules ``rule_filter`` keeps (None: all)."""
     if not rule_filter:
-        return selected
-    filtered = []
-    for lint_pass in selected:
-        kept = tuple(
-            rule for rule in lint_pass.rules
-            if any(rule.matches_token(token) for token in rule_filter)
-        )
-        if kept:
-            filtered.append(lint_pass)
-    return filtered
+        return None
+    return {rule.rule_id for rule in selected_rules(None, rule_filter)}
 
 
 def lint_module(
@@ -84,6 +97,7 @@ def lint_module(
     With ``rule_filter``, only findings for the named rules (by id or name)
     are kept — the passes still run whole, the filter applies to output.
     """
+    wanted = _wanted(rule_filter)
     findings: List[Finding] = []
     seen: set = set()
     for lint_pass in _select_passes(passes, None):
@@ -93,11 +107,7 @@ def lint_module(
             if key in seen:
                 continue
             seen.add(key)
-            if rule_filter and not any(
-                ALL_RULES[finding.rule_id].matches_token(token)
-                for token in rule_filter
-                if finding.rule_id in ALL_RULES
-            ):
+            if wanted is not None and finding.rule_id not in wanted:
                 continue
             tokens = module.ignored_rules(finding.line, finding.end_line)
             if tokens:
@@ -141,6 +151,7 @@ def _project_findings(
         return []
     project = build_project(modules)
     by_path = {module.path: module for module in modules}
+    wanted = _wanted(rule_filter)
     findings: List[Finding] = []
     seen: set = set()
     for lint_pass in selected:
@@ -150,11 +161,7 @@ def _project_findings(
             if key in seen:
                 continue
             seen.add(key)
-            if rule_filter and not any(
-                ALL_RULES[finding.rule_id].matches_token(token)
-                for token in rule_filter
-                if finding.rule_id in ALL_RULES
-            ):
+            if wanted is not None and finding.rule_id not in wanted:
                 continue
             module = by_path.get(finding.path)
             if module is not None:
@@ -179,8 +186,8 @@ def lint_project(
     """Lint an in-memory file set with the whole-program passes (test helper).
 
     ``files`` maps display paths to source text. Only project passes run by
-    default, so fixture trees exercise KEY/WIRE/CKPT002/ASYNC rules without
-    noise from the per-module passes; pass ``passes`` explicitly to mix in
+    default, so fixture trees exercise the ASYNC rule without noise from
+    the per-module passes; pass ``passes`` explicitly to mix in
     per-module ones (they run per file first, then the project passes).
     """
     modules = [
@@ -219,6 +226,7 @@ def run_lint(
         with open(filename, "r", encoding="utf-8") as handle:
             text = handle.read()
         display = _display_path(filename, relative_to)
+        result.files_scanned += 1
         try:
             module = ModuleSource.from_text(text, display)
         except SyntaxError as exc:
@@ -229,18 +237,23 @@ def run_lint(
                 message=f"file does not parse: {exc.msg}",
             )
             all_findings.append(finding)
-            result.files_scanned += 1
             continue
         modules.append(module)
         all_findings.extend(
             lint_module(module, passes=passes, rule_filter=rule_filter)
         )
-        result.files_scanned += 1
     if project:
         all_findings.extend(_project_findings(modules, passes, rule_filter))
     if baseline is not None:
         active = [f for f in all_findings if f.status != SUPPRESSED]
-        result.stale_baseline = baseline.apply(active)
+        checked = [
+            lint_pass for lint_pass in _select_passes(passes, None)
+            if project or not isinstance(lint_pass, ProjectLintPass)
+        ]
+        ran = [rule.rule_id for rule in selected_rules(checked, rule_filter)]
+        result.stale_baseline = baseline.apply(
+            active, paths=[m.path for m in modules], rules=ran
+        )
     all_findings.sort(key=lambda f: f.sort_key())
     result.findings = all_findings
     return result

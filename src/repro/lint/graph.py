@@ -21,38 +21,11 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.lint.astutil import dotted_name
 from repro.lint.base import ModuleSource
 
 #: The two def-statement node flavours the index records.
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-
-def _annotation_name(node: Optional[ast.expr]) -> Optional[str]:
-    """The trailing identifier of a parameter annotation, if nameable.
-
-    ``job: Job``, ``job: "SecurityJob"``, ``job: runner.CampaignJob`` and
-    ``job: Optional[Job]`` all resolve to the bare class name; anything
-    else (unions of several classes, subscripted containers) returns None.
-    """
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        # A string annotation: take the last dotted identifier.
-        text = node.value.strip().strip('"').strip("'")
-        if text.endswith("]") and "[" in text:  # Optional["Job"] spelled oddly
-            text = text[text.index("[") + 1:-1].strip().strip('"').strip("'")
-        name = text.split("[")[0].split(".")[-1].strip()
-        return name if name.isidentifier() else None
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Subscript):
-        # Optional[Job] / "Optional[Job]": look inside one subscript level.
-        outer = _annotation_name(node.value)
-        if outer == "Optional" and isinstance(node.slice, ast.expr):
-            return _annotation_name(node.slice)
-    return None
 
 
 def own_statements(node: ast.AST) -> Iterator[ast.AST]:
@@ -85,14 +58,6 @@ class FunctionInfo:
     module: ModuleSource
     class_name: Optional[str] = None
     is_async: bool = False
-    #: Positional-or-keyword parameter names, in order (``self`` included).
-    params: Tuple[str, ...] = ()
-    #: Parameter name -> trailing annotation identifier (``"Job"``).
-    annotations: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
 
 
 @dataclass
@@ -119,13 +84,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: Trailing identifiers of base-class expressions.
     bases: Tuple[str, ...] = ()
-    #: Trailing identifiers of decorators.
-    decorators: Tuple[str, ...] = ()
-    #: Decorator Call nodes, for passes that read decorator arguments.
-    decorator_calls: Tuple[ast.Call, ...] = ()
-    is_dataclass: bool = False
-    #: Annotated class-body fields (dataclass fields), name -> AnnAssign.
-    fields: Dict[str, ast.AnnAssign] = field(default_factory=dict)
 
 
 def _index_function(
@@ -134,13 +92,6 @@ def _index_function(
     qname: str,
     class_name: Optional[str],
 ) -> FunctionInfo:
-    args = node.args
-    params: List[str] = [a.arg for a in args.posonlyargs + args.args]
-    annotations: Dict[str, str] = {}
-    for a in args.posonlyargs + args.args + args.kwonlyargs:
-        name = _annotation_name(a.annotation)
-        if name is not None:
-            annotations[a.arg] = name
     return FunctionInfo(
         qname=qname,
         name=node.name,
@@ -148,8 +99,6 @@ def _index_function(
         module=module,
         class_name=class_name,
         is_async=isinstance(node, ast.AsyncFunctionDef),
-        params=tuple(params),
-        annotations=annotations,
     )
 
 
@@ -161,11 +110,8 @@ class ProjectIndex:
     """
 
     def __init__(self, modules: Sequence[ModuleSource]):
-        #: module parts -> source (last write wins on duplicate parts).
-        self.modules: Dict[Tuple[str, ...], ModuleSource] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
         self.classes_by_name: Dict[str, List[ClassInfo]] = {}
         #: module parts -> local name -> absolute target parts under repro.
         self.imports: Dict[Tuple[str, ...], Dict[str, Tuple[str, ...]]] = {}
@@ -179,7 +125,6 @@ class ProjectIndex:
     # Construction
     # ------------------------------------------------------------------
     def _index_module(self, module: ModuleSource) -> None:
-        self.modules[module.parts] = module
         bindings: Dict[str, Tuple[str, ...]] = {}
         for node in ast.iter_child_nodes(module.tree):
             if isinstance(node, ast.Import):
@@ -201,25 +146,15 @@ class ProjectIndex:
                 qname = self._qname(module, node.name)
                 info = _index_function(node, module, qname, None)
                 self.functions[qname] = info
-                self.functions_by_name.setdefault(node.name, []).append(info)
             elif isinstance(node, ast.ClassDef):
                 self._index_class(module, node)
         self.imports[module.parts] = bindings
 
     def _index_class(self, module: ModuleSource, node: ast.ClassDef) -> None:
         qname = self._qname(module, node.name)
-        decorators: List[str] = []
-        decorator_calls: List[ast.Call] = []
-        for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            parts = _dotted(target)
-            if parts:
-                decorators.append(parts[-1])
-            if isinstance(dec, ast.Call):
-                decorator_calls.append(dec)
         bases: List[str] = []
         for base in node.bases:
-            parts = _dotted(base)
+            parts = dotted_name(base)
             if parts:
                 bases.append(parts[-1])
         info = ClassInfo(
@@ -228,10 +163,6 @@ class ProjectIndex:
             node=node,
             module=module,
             bases=tuple(bases),
-            decorators=tuple(decorators),
-            decorator_calls=tuple(decorator_calls),
-            is_dataclass="dataclass" in decorators
-            or "checkpointable_dataclass" in decorators,
         )
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -239,11 +170,6 @@ class ProjectIndex:
                 method = _index_function(stmt, module, mq, node.name)
                 info.methods[stmt.name] = method
                 self.functions[mq] = method
-                self.functions_by_name.setdefault(stmt.name, []).append(method)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                info.fields[stmt.target.id] = stmt
         self.classes[qname] = info
         self.classes_by_name.setdefault(node.name, []).append(info)
 
@@ -262,7 +188,7 @@ class ProjectIndex:
             for node in own_statements(info.node):
                 if not isinstance(node, ast.Call):
                     continue
-                parts = _dotted(node.func) or ()
+                parts = dotted_name(node.func) or ()
                 sites.append(
                     CallSite(
                         node=node,
@@ -354,12 +280,6 @@ class ProjectIndex:
         """Every call site inside function ``qname`` (empty if unknown)."""
         return self._calls.get(qname, [])
 
-    def class_of(self, info: FunctionInfo) -> Optional[ClassInfo]:
-        """The class a method belongs to, or None for plain functions."""
-        if info.class_name is None:
-            return None
-        return self._class_named(info.module, info.class_name)
-
     def functions_in_package(self, package: str) -> List[FunctionInfo]:
         """Every indexed function whose module sits under ``package``."""
         return [
@@ -401,17 +321,6 @@ class ProjectIndex:
                 origin[callee] = origin[current]
                 queue.append(callee)
         return origin
-
-
-def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
 
 
 def build_project(modules: Sequence[ModuleSource]) -> ProjectIndex:

@@ -13,7 +13,6 @@ from repro.lint.base import LintPass
 from repro.lint.findings import Rule
 from repro.lint.passes.async_blocking import AsyncBlockingPass
 from repro.lint.passes.callbacks import CallbackPass
-from repro.lint.passes.ckpt_flow import CkptFlowPass
 from repro.lint.passes.contract import ContractPass
 from repro.lint.passes.determinism import DeterminismPass
 from repro.lint.passes.obs_hotloop import ObsHotLoopPass
@@ -21,7 +20,6 @@ from repro.lint.passes.obs_names import ObsNamesPass
 from repro.lint.passes.payload_literals import PayloadLiteralPass
 from repro.lint.passes.rng_stream import RngStreamPass
 from repro.lint.passes.svc_clock import SvcClockPass
-from repro.lint.passes.wire_schema import WireSchemaPass
 
 #: Per-module passes first, then the whole-program (project) passes; the
 #: driver runs the former per file and the latter once over the full set.
@@ -34,8 +32,6 @@ ALL_PASSES: Tuple[LintPass, ...] = (
     ObsHotLoopPass(),
     PayloadLiteralPass(),
     SvcClockPass(),
-    WireSchemaPass(),
-    CkptFlowPass(),
     AsyncBlockingPass(),
 )
 
@@ -50,7 +46,6 @@ __all__ = [
     "ALL_RULES",
     "AsyncBlockingPass",
     "CallbackPass",
-    "CkptFlowPass",
     "ContractPass",
     "DeterminismPass",
     "ObsHotLoopPass",
@@ -58,5 +53,4 @@ __all__ = [
     "PayloadLiteralPass",
     "RngStreamPass",
     "SvcClockPass",
-    "WireSchemaPass",
 ]

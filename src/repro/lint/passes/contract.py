@@ -1,10 +1,10 @@
 """Checkpoint-contract pass: mutable sim state must declare a contract.
 
-The runtime half of this check lives in :mod:`repro.ckpt.contract` (which
-delegates its AST walk to :mod:`repro.lint.astutil`): every *registered*
-class must classify each attribute it assigns. This pass covers the gap
-the runtime lint cannot see — a class in a sim-critical package that was
-never registered at all. If it holds mutable containers, its state silently
+The runtime half of this check lives in :mod:`repro.ckpt.contract`: every
+capture checks that each *registered* object it serialises holds only
+attributes its contract classifies. This pass covers what no capture can
+see — a class in a sim-critical package that was never registered at
+all. If it holds mutable containers, its state silently
 escapes every snapshot and ``capture``/``restore`` round trips diverge.
 
 * ``CKPT001`` a sim-critical class assigns a mutable container

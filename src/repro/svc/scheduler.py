@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Awaitable, Callable, ClassVar, Dict, Optional
 
 from repro.analysis.runner import (
     CACHE_SCHEMA_VERSION,
@@ -82,8 +82,32 @@ def default_socket_path() -> str:
     )
 
 
+def _dispatch_table(cls: type) -> type:
+    """Bind ``cls._handlers``: protocol op -> ``cls._op_<op>``.
+
+    Raises ``TypeError`` unless the ``_op_*`` methods and
+    :data:`protocol.OPS` name exactly the same ops.
+    """
+    handled = {
+        name[len("_op_"):] for name in dir(cls) if name.startswith("_op_")
+    }
+    if handled != set(protocol.OPS):
+        raise TypeError(
+            f"{cls.__name__} op handlers disagree with protocol.OPS: "
+            f"missing {sorted(set(protocol.OPS) - handled)}, "
+            f"undeclared {sorted(handled - set(protocol.OPS))}"
+        )
+    handlers = {op: getattr(cls, f"_op_{op}") for op in protocol.OPS}
+    setattr(cls, "_handlers", handlers)
+    return cls
+
+
+@_dispatch_table
 class SweepService:
     """A long-running sweep-job daemon (one instance per socket path)."""
+
+    #: Protocol op -> its ``_op_<op>`` handler, bound by ``_dispatch_table``.
+    _handlers: ClassVar[Dict[str, Callable[..., Awaitable[dict]]]]
 
     def __init__(
         self,
@@ -428,33 +452,28 @@ class SweepService:
         except protocol.ProtocolError as exc:
             return protocol.error(str(exc))
         try:
-            if op == "ping":
-                return protocol.ok(
-                    protocol=protocol.PROTOCOL_VERSION,
-                    server="repro.svc",
-                    workers=self.workers,
-                )
-            if op == "submit":
-                return self._op_submit(message)
-            if op == "status":
-                return self._op_status(message)
-            if op == "result":
-                return await self._op_result(message)
-            if op == "cancel":
-                return self._op_cancel(message)
-            if op == "cache":
-                return self._op_cache()
-            if op == "shutdown":
-                self._begin_shutdown()
-                return protocol.ok(stopping=True)
-            # parse_request validated op against OPS, so this is only
-            # reachable when an op is added there without a branch here —
-            # exactly the drift WIRE002 flags at lint time.
-            return protocol.error(f"unhandled op {op!r}")
+            return await self._handlers[op](self, message)
         except (ValueError, TypeError, KeyError) as exc:
             return protocol.error(str(exc))
 
-    def _op_submit(self, message: dict) -> dict:
+    # One ``async def _op_<name>(self, message) -> dict`` per protocol op:
+    # ``_handlers`` is built from ``protocol.OPS`` when the class is
+    # created, and the import fails if an op has no handler (or a handler
+    # has no op). Every handler is a coroutine so each one is an event-loop
+    # root for the ASYNC001 lint pass, which cannot follow the table.
+
+    async def _op_ping(self, message: dict) -> dict:
+        return protocol.ok(
+            protocol=protocol.PROTOCOL_VERSION,
+            server="repro.svc",
+            workers=self.workers,
+        )
+
+    async def _op_shutdown(self, message: dict) -> dict:
+        self._begin_shutdown()
+        return protocol.ok(stopping=True)
+
+    async def _op_submit(self, message: dict) -> dict:
         jobs = message.get("jobs")
         if not isinstance(jobs, list) or not jobs:
             return protocol.error("submit needs a non-empty 'jobs' list")
@@ -484,7 +503,7 @@ class SweepService:
             raise ValueError(f"unknown job id {job_id!r}")
         return record
 
-    def _op_status(self, message: dict) -> dict:
+    async def _op_status(self, message: dict) -> dict:
         if message.get("id") is not None:
             records = [self._record_for(message)]
         else:
@@ -535,7 +554,7 @@ class SweepService:
             result=payload,
         )
 
-    def _op_cancel(self, message: dict) -> dict:
+    async def _op_cancel(self, message: dict) -> dict:
         record = self._record_for(message)
         if record.state == QUEUED:
             record.transition(CANCELLED)
@@ -558,7 +577,7 @@ class SweepService:
         self._update_gauges()
         return protocol.ok(state=record.state)
 
-    def _op_cache(self) -> dict:
+    async def _op_cache(self, message: dict) -> dict:
         return protocol.ok(
             cache=self.cache.stats(),
             metrics=self.metrics.snapshot(),

@@ -23,7 +23,6 @@ from repro.lint import (
     render,
     run_lint,
 )
-from repro.lint.astutil import collect_self_assignment_targets
 from repro.lint.base import ModuleSource
 
 SIM_PATH = "src/repro/sim/fixture.py"
@@ -336,6 +335,29 @@ def test_baseline_add_and_expire_roundtrip(tmp_path):
     assert result3.ok and len(result3.stale_baseline) == 1
 
 
+def test_stale_entries_only_for_scanned_files_and_rules_that_ran(tmp_path):
+    """An entry is stale only when this run checked its file and rule."""
+    path = write_fixture(tmp_path, "import numpy as np\n"
+                                   "rng = np.random.default_rng(7)\n")
+
+    def entry(rule, rel, context):
+        return BaselineEntry(rule=rule, path=rel, context=context,
+                             justification="test fixture")
+
+    healed = entry("RNG001", "repro/sim/fixture.py",
+                   "rng = np.random.default_rng(8)")
+    unscanned = entry("RNG001", "repro/sim/other.py",
+                      "rng = np.random.default_rng(7)")
+    other_rule = entry("DET001", "repro/sim/fixture.py", "t = time.time()")
+    baseline = Baseline([healed, unscanned, other_rule])
+
+    result = run_lint([path], baseline=baseline, relative_to=str(tmp_path))
+    assert result.stale_baseline == [other_rule, healed]
+    filtered = run_lint([path], baseline=baseline, rule_filter=["RNG001"],
+                        relative_to=str(tmp_path))
+    assert filtered.stale_baseline == [healed]
+
+
 def test_baseline_is_line_drift_tolerant(tmp_path):
     """Unrelated edits moving the flagged line keep the entry matching."""
     bad = "import numpy as np\nrng = np.random.default_rng(7)\n"
@@ -448,37 +470,6 @@ def test_sarif_marks_suppressions(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Shared AST walk (delegated from repro.ckpt.contract)
-# ----------------------------------------------------------------------
-
-def test_collect_self_assignment_targets_matches_contract_semantics():
-    """The shared walk binds plain/aug/ann/tuple targets, not subscripts."""
-    import ast
-
-    tree = ast.parse(
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self.a = 1\n"
-        "        self.b, self.c = 1, 2\n"
-        "        self.d += 1\n"
-        "        self.e: int = 0\n"
-        "        self.table[k] = 1\n"
-        "        local = 5\n"
-    )
-    assert collect_self_assignment_targets(tree) == {"a", "b", "c", "d", "e"}
-
-
-def test_contract_module_uses_shared_walk():
-    """repro.ckpt.contract's attribute walk is the repro.lint one."""
-    import repro.ckpt.contract as contract
-
-    assert (
-        contract.collect_self_assignment_targets
-        is collect_self_assignment_targets
-    )
-
-
-# ----------------------------------------------------------------------
 # CLI exit contract
 # ----------------------------------------------------------------------
 
@@ -523,6 +514,14 @@ def test_cli_missing_path_exits_2():
     """Pointing the CLI at a missing path is a usage error, not a pass."""
     proc = run_cli("/no/such/path_xyz")
     assert proc.returncode == 2
+
+
+def test_cli_unknown_rule_exits_2():
+    """A --rule naming no rule is a usage error, not a silent pass."""
+    proc = run_cli("--rule", "NOPE001", "src/repro/jobs.py")
+    assert proc.returncode == 2
+    assert "NOPE001" in proc.stderr
+    assert run_cli("--rule", "RNG001", "src/repro/jobs.py").returncode == 0
 
 
 def test_cli_list_rules_names_every_rule():

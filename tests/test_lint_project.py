@@ -1,28 +1,32 @@
-"""The whole-program lint layer: graph, dataflow, and the pass families.
+"""The whole-program lint layer: the call graph and the ASYNC001 pass.
 
 Four layers of coverage:
 
 * unit tests of :mod:`repro.lint.graph` (symbol table, call resolution,
-  package-scoped reachability) and :mod:`repro.lint.dataflow` (tracked
-  parameter closures) on small fixture trees;
-* positive/negative fixtures per rule (WIRE002, CKPT002, ASYNC001)
-  through the ``lint_project`` helper;
-* discovery pins on the real tree: the passes must actually *find* the
+  package-scoped reachability) on small fixture trees;
+* positive/negative ASYNC001 fixtures through the ``lint_project``
+  helper;
+* discovery pins on the real tree: the pass must actually *find* the
   svc async roots — a pass that silently no-ops would otherwise look
   identical to a clean tree;
 * end-to-end mutation tests: copy ``src/repro`` to a temp dir, seed one
-  real violation (add a blocking call to the scheduler, drop a daemon op
-  branch), and assert the full ``run_lint`` + committed-baseline pipeline
-  flips to failing — exactly the CI exit-1 contract.
+  real violation, and assert the build fails — a blocking call in the
+  scheduler flips the full ``run_lint`` + committed-baseline pipeline to
+  failing (the CI exit-1 contract), and a dropped daemon op handler makes
+  the scheduler import fail.
 
-The job wire codec and cache key have no lint rules: they are derived
-from the job dataclass fields, and ``tests/test_job_model.py`` checks
-them directly.
+Some contracts have no lint rule because they hold by construction: the
+job wire codec and cache key are derived from the job dataclass fields
+(``tests/test_job_model.py``), the daemon's op table is built from
+``protocol.OPS`` at import, and the checkpoint contract is checked on
+every capture (``tests/test_ckpt_contract.py``).
 """
 
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -37,14 +41,13 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint.base import ModuleSource
-from repro.lint.dataflow import escaped_attribute_writes
-from repro.lint.passes import AsyncBlockingPass, CkptFlowPass, WireSchemaPass
+from repro.lint.passes import AsyncBlockingPass
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
 BASELINE = os.path.join(REPO_ROOT, "lint-baseline.json")
 
-PROJECT_PASSES = [WireSchemaPass(), CkptFlowPass(), AsyncBlockingPass()]
+PROJECT_PASSES = [AsyncBlockingPass()]
 
 
 def modules_from(files):
@@ -129,146 +132,6 @@ def test_graph_reachability_is_transitive_and_package_scoped():
     assert origin["analysis.beta.leaf"] == "analysis.alpha.Thing.top"
     scoped = project.reachable(["svc.gamma.svc_side"], package="svc")
     assert "analysis.beta.leaf" not in scoped       # stays inside svc
-
-
-# ----------------------------------------------------------------------
-# dataflow: escaped attribute writes
-# ----------------------------------------------------------------------
-
-def test_escaped_writes_are_seen_and_own_methods_are_not():
-    files = {
-        "src/repro/mc/owner.py": '''
-class Gadget:
-    def __init__(self):
-        self.inside = 0
-        wire(self)
-
-def wire(gadget: Gadget):
-    gadget.outside = 1
-''',
-    }
-    project = build_project(modules_from(files))
-    cls = project.classes["mc.owner.Gadget"]
-    writes = {(a.attr, a.function) for a in escaped_attribute_writes(project, cls)}
-    assert ("outside", "mc.owner.wire") in writes
-    assert not any(attr == "inside" for attr, _ in writes)
-
-
-# ----------------------------------------------------------------------
-# WIRE002 fixtures
-# ----------------------------------------------------------------------
-
-def svc_fixture(ops='("ping", "submit")', handled=("ping", "submit"),
-                called=("ping", "submit")):
-    branches = "\n".join(
-        f'    if op == "{name}":\n        return {{"ok": True}}'
-        for name in handled
-    )
-    calls = "\n".join(
-        f'    def {name}(self):\n        return self._call("{name}")'
-        for name in called
-    )
-    return {
-        "src/repro/svc/protocol.py": f"OPS = {ops}\n",
-        "src/repro/svc/scheduler.py": f'''
-def serve(op):
-{branches}
-    return {{"ok": False}}
-''',
-        "src/repro/svc/client.py": f'''
-class SweepClient:
-    def _call(self, op, **fields):
-        return {{"op": op}}
-{calls}
-''',
-    }
-
-
-def test_wire002_clean_when_all_three_agree():
-    assert "WIRE002" not in rules_hit(svc_fixture())
-
-
-def test_wire002_flags_op_without_daemon_branch():
-    files = svc_fixture(handled=("ping",))
-    wire = [f for f in lint_project(files) if f.rule_id == "WIRE002"]
-    assert any(
-        "'submit'" in f.message and "no daemon branch" in f.message
-        for f in wire
-    )
-
-
-def test_wire002_flags_op_unknown_to_client():
-    files = svc_fixture(called=("ping",))
-    wire = [f for f in lint_project(files) if f.rule_id == "WIRE002"]
-    assert any(
-        "'submit'" in f.message and "never issues" in f.message
-        for f in wire
-    )
-
-
-def test_wire002_flags_handled_and_called_ops_missing_from_ops():
-    files = svc_fixture(
-        handled=("ping", "submit", "mystery"),
-        called=("ping", "submit", "rogue"),
-    )
-    wire = [f for f in lint_project(files) if f.rule_id == "WIRE002"]
-    assert any("'mystery'" in f.message for f in wire)
-    assert any("'rogue'" in f.message for f in wire)
-
-
-# ----------------------------------------------------------------------
-# CKPT002 fixtures
-# ----------------------------------------------------------------------
-
-def ckpt_fixture(contract='state=("raa",)', write="tracker.hooks = 1"):
-    return {
-        "src/repro/mc/cf.py": f'''
-from repro.ckpt.contract import checkpointable
-
-@checkpointable({contract})
-class Tracker:
-    def __init__(self):
-        self.raa = 0
-        attach(self)
-
-def attach(tracker: Tracker):
-    {write}
-''',
-    }
-
-
-def test_ckpt002_flags_escaped_write_missing_from_contract():
-    findings = [
-        f for f in lint_project(ckpt_fixture()) if f.rule_id == "CKPT002"
-    ]
-    assert len(findings) == 1
-    assert "`hooks`" in findings[0].message
-    assert "mc.cf.attach" in findings[0].message
-
-
-def test_ckpt002_clean_when_contract_declares_the_attribute():
-    files = ckpt_fixture(contract='state=("raa",), derived=("hooks",)')
-    assert "CKPT002" not in rules_hit(files)
-
-
-def test_ckpt002_skips_non_literal_contracts():
-    files = ckpt_fixture(contract="state=tuple(COMPUTED)")
-    assert "CKPT002" not in rules_hit(files)
-
-
-def test_ckpt002_ignores_writes_inside_own_methods():
-    files = {
-        "src/repro/mc/cf.py": '''
-from repro.ckpt.contract import checkpointable
-
-@checkpointable(state=("raa",))
-class Tracker:
-    def __init__(self):
-        self.raa = 0
-        self.undeclared = 1   # CKPT001/runtime walk territory, not 002
-''',
-    }
-    assert "CKPT002" not in rules_hit(files)
 
 
 # ----------------------------------------------------------------------
@@ -403,14 +266,20 @@ def test_real_tree_is_clean_for_all_project_passes():
 # End-to-end mutation tests: seeded violations must flip CI to failing
 # ----------------------------------------------------------------------
 
-def mutated_tree_result(tmp_path, rel_path, old, new):
-    """Copy src/repro, apply one text mutation, run the full CI pipeline."""
+def mutated_tree(tmp_path, rel_path, old, new):
+    """Copy src/repro under ``tmp_path`` and apply one text mutation."""
     tree = tmp_path / "src" / "repro"
     shutil.copytree(SRC, tree)
     target = tree / rel_path
     text = target.read_text()
     assert old in text, f"mutation anchor vanished from {rel_path}: {old!r}"
     target.write_text(text.replace(old, new))
+    return tree
+
+
+def mutated_tree_result(tmp_path, rel_path, old, new):
+    """One text mutation, then the full CI lint pipeline over the copy."""
+    tree = mutated_tree(tmp_path, rel_path, old, new)
     return run_lint(
         [str(tree)],
         baseline=load_baseline(BASELINE),
@@ -421,8 +290,9 @@ def mutated_tree_result(tmp_path, rel_path, old, new):
 def test_mutation_blocking_scheduler_call_fails_the_build(tmp_path):
     result = mutated_tree_result(
         tmp_path, "svc/scheduler.py",
-        "            if op == \"ping\":",
-        "            time.sleep(0.01)\n            if op == \"ping\":",
+        "            return await self._handlers[op](self, message)",
+        "            time.sleep(0.01)\n"
+        "            return await self._handlers[op](self, message)",
     )
     assert not result.ok
     assert any(
@@ -431,32 +301,50 @@ def test_mutation_blocking_scheduler_call_fails_the_build(tmp_path):
     )
 
 
+def _import_scheduler(tmp_path):
+    return subprocess.run(
+        [sys.executable, "-c", "import repro.svc.scheduler"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tmp_path / "src")},
+    )
+
+
 def test_mutation_dropping_shutdown_branch_fails_the_build(tmp_path):
-    result = mutated_tree_result(
+    mutated_tree(
         tmp_path, "svc/scheduler.py",
-        'if op == "shutdown":', 'if op == "never":',
+        "    async def _op_shutdown(", "    async def _shutdown(",
     )
-    assert not result.ok
-    assert any(
-        f.rule_id == "WIRE002" and "'shutdown'" in f.message
-        for f in result.new_findings
+    proc = _import_scheduler(tmp_path)
+    assert proc.returncode != 0
+    assert "TypeError" in proc.stderr and "'shutdown'" in proc.stderr
+
+
+def test_mutation_undeclared_op_handler_fails_the_build(tmp_path):
+    mutated_tree(
+        tmp_path, "svc/scheduler.py",
+        "    async def _op_shutdown(", "    async def _op_halt(",
     )
+    proc = _import_scheduler(tmp_path)
+    assert proc.returncode != 0
+    assert "'halt'" in proc.stderr and "'shutdown'" in proc.stderr
 
 
 # ----------------------------------------------------------------------
 # SARIF shape for whole-program findings
 # ----------------------------------------------------------------------
 
-NEW_RULE_IDS = ("WIRE002", "CKPT002", "ASYNC001")
+NEW_RULE_IDS = ("ASYNC001",)
 
 
-def write_wire_fixture_tree(tmp_path):
-    """A svc tree with one WIRE002 finding: OPS declares an op no daemon
-    branch handles."""
-    for rel, source in svc_fixture(handled=("ping",)).items():
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source)
+def write_async_fixture_tree(tmp_path):
+    """A svc tree with one finding, ASYNC001: a process join on the
+    event loop."""
+    target = tmp_path / "src" / "repro" / "svc" / "loop.py"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(
+        "async def reaper(worker):\n"
+        "    worker.process.join()\n"
+    )
     return str(tmp_path / "src" / "repro")
 
 
@@ -468,7 +356,7 @@ def test_new_rules_are_registered_with_metadata():
 
 
 def test_sarif_driver_rules_include_whole_program_rules(tmp_path):
-    tree = write_wire_fixture_tree(tmp_path)
+    tree = write_async_fixture_tree(tmp_path)
     result = run_lint([tree], relative_to=str(tmp_path))
     payload = json.loads(render(result, "sarif"))
     assert payload["version"] == "2.1.0"
@@ -480,24 +368,24 @@ def test_sarif_driver_rules_include_whole_program_rules(tmp_path):
 
 
 def test_sarif_whole_program_finding_has_physical_location(tmp_path):
-    tree = write_wire_fixture_tree(tmp_path)
+    tree = write_async_fixture_tree(tmp_path)
     result = run_lint([tree], relative_to=str(tmp_path))
     payload = json.loads(render(result, "sarif"))
-    wire = [
-        r for r in payload["runs"][0]["results"] if r["ruleId"] == "WIRE002"
+    hits = [
+        r for r in payload["runs"][0]["results"] if r["ruleId"] == "ASYNC001"
     ]
-    assert len(wire) == 1
-    assert wire[0]["level"] == "error"   # NEW findings are errors
-    location = wire[0]["locations"][0]["physicalLocation"]
+    assert len(hits) == 1
+    assert hits[0]["level"] == "error"   # NEW findings are errors
+    location = hits[0]["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"].endswith(
-        "src/repro/svc/protocol.py"
+        "src/repro/svc/loop.py"
     )
     region = location["region"]
     assert region["startLine"] >= 1 and region["startColumn"] >= 1
 
 
 def test_sarif_baselined_whole_program_finding_is_external(tmp_path):
-    tree = write_wire_fixture_tree(tmp_path)
+    tree = write_async_fixture_tree(tmp_path)
     # Derive the baseline entry from the live finding so the anchor
     # context matches exactly the way a real `--update-baseline` would.
     (finding,) = run_lint(
@@ -524,8 +412,6 @@ def test_sarif_baselined_whole_program_finding_is_external(tmp_path):
 # ----------------------------------------------------------------------
 
 def _git(args, cwd):
-    import subprocess
-
     subprocess.run(
         ["git"] + args, cwd=cwd, check=True, capture_output=True,
         env={**os.environ,

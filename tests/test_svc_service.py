@@ -31,6 +31,7 @@ from repro.svc import (
     SweepClient,
     SweepService,
     daemon_available,
+    protocol,
 )
 
 REQUESTS = 300
@@ -253,6 +254,33 @@ class TestServiceBatch:
                 client._call("submit", jobs=[{"kind": "mystery"}])
             # The connection survives refused requests.
             assert client.ping()["ok"]
+
+    def test_every_protocol_op_round_trips_through_a_client_method(
+        self, daemon
+    ):
+        """Each op in ``protocol.OPS`` has a handler in the daemon's
+        dispatch table and a SweepClient method the live daemon answers
+        successfully."""
+        assert sorted(SweepService._handlers) == sorted(protocol.OPS)
+        issued = []
+        with SweepClient(daemon.socket_path) as client:
+            call = client._call
+
+            def recording(op, **fields):
+                response = call(op, **fields)
+                issued.append(op)
+                return response
+
+            client._call = recording
+            assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
+            (job_id,) = client.submit([SecurityJob(acts=500, window=4,
+                                                   seeds=2)])
+            assert client.result(job_id, wait=True, timeout=180)["ok"]
+            assert client.status(job_id)[0]["state"] == "done"
+            assert client.cancel(job_id) == "done"  # terminal: no-op
+            assert client.cache_stats()["workers"]["total"] == 2
+            client.shutdown()
+        assert sorted(issued) == sorted(protocol.OPS)
 
     def test_daemon_available_reflects_liveness(self, daemon, service_dir):
         assert daemon_available(daemon.socket_path)
