@@ -743,7 +743,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
     if args.update_baseline:
         keep = [f for f in result.findings if f.status != "suppressed"]
-        Baseline.from_findings(keep, previous=baseline).save(args.baseline)
+        updated = Baseline.from_findings(keep, previous=baseline)
+        if baseline is not None:
+            # A --rule, path-subset or --changed run rewrites only what it
+            # checked; every other entry stays as it is.
+            updated.entries.extend(baseline.unchecked(
+                result.checked_paths, result.checked_rules
+            ))
+        updated.save(args.baseline)
         print(f"wrote {args.baseline} ({len(keep)} suppressed finding(s)); "
               "fill in every TODO justification before committing")
         return 0

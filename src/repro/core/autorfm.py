@@ -18,10 +18,14 @@ from typing import Callable, Optional
 
 from repro.core.mitigation import MitigationPolicy
 from repro.core.rowswap import MigrationMitigation
+from repro.obs.trace import layout
 from repro.sim.config import SystemConfig
 from repro.sim.stats import BankStats
 from repro.trackers.base import Tracker
 from repro.ckpt.contract import checkpointable
+
+#: Trace record layout of a SAUM busy span (see repro.obs.trace).
+_T_SAUM = layout("SAUM", "bank", "end", "region", "row", "t", "victims")
 
 
 class _EngineObsHooks:
@@ -34,18 +38,15 @@ class _EngineObsHooks:
     Attached through the memory controller's hook bundle, emission is
     deferred: counter increments accumulate in plain ints, trace records
     queue on the controller's shared in-order ``trace_pending`` list, and
-    :meth:`flush` publishes both at the next drain boundary. Attached to
-    a bare :class:`~repro.obs.Observability` (no flusher), emission stays
-    eager.
+    the controller's flush publishes both at the next drain boundary.
     """
 
-    __slots__ = ("tracer", "bank", "m_mitigations", "m_victims",
+    __slots__ = ("bank", "m_mitigations", "m_victims",
                  "m_selects", "m_empty_selects",
                  "n_mitigations", "n_victims", "n_selects",
-                 "n_empty_selects", "pending", "deferred")
+                 "n_empty_selects", "pending")
 
     def __init__(self, obs, bank: int, labels):
-        self.tracer = obs.tracer
         self.bank = bank
         self.m_mitigations = None
         self.m_victims = None
@@ -65,11 +66,8 @@ class _EngineObsHooks:
         self.n_victims = 0
         self.n_selects = 0
         self.n_empty_selects = 0
-        self.pending = getattr(obs, "trace_pending", None)
-        children = getattr(obs, "children", None)
-        self.deferred = children is not None
-        if children is not None:
-            children.append(self)
+        self.pending = obs.trace_pending
+        obs.children.append(self)
 
     def flush(self) -> None:
         """Publish accumulated counters (drain boundary)."""
@@ -144,7 +142,8 @@ class AutoRfmEngine:
         self._obs: Optional[_EngineObsHooks] = None
 
     def attach_obs(self, obs, bank: int) -> None:
-        """Wire this engine into an :class:`repro.obs.Observability`.
+        """Wire this engine into the memory controller's observability
+        hook bundle.
 
         Called once at construction by the memory controller, which knows
         the flat bank index; metric objects are resolved here so the
@@ -157,29 +156,13 @@ class AutoRfmEngine:
         """Publish one mitigation: SAUM busy span plus counters."""
         obs = self._obs
         if obs.m_mitigations is not None:
-            if obs.deferred:
-                obs.n_mitigations += 1
-                obs.n_victims += victims
-            else:
-                obs.m_mitigations.inc()
-                obs.m_victims.inc(victims)
+            obs.n_mitigations += 1
+            obs.n_victims += victims
         if obs.pending is not None:
-            obs.pending.append({
-                "t": now, "kind": "SAUM", "end": self.saum_busy_until,
-                "bank": obs.bank,
-                "region": self.saum if self.saum is not None else -1,
-                "row": row, "victims": victims,
-            })
-        elif obs.tracer is not None:
-            obs.tracer.span(
-                now,
-                self.saum_busy_until,
-                "SAUM",
-                bank=obs.bank,
-                region=self.saum if self.saum is not None else -1,
-                row=row,
-                victims=victims,
-            )
+            obs.pending.append((
+                _T_SAUM, obs.bank, self.saum_busy_until,
+                self.saum if self.saum is not None else -1, row, now, victims,
+            ))
 
     # ------------------------------------------------------------------
     # Hooks called by the bank / memory controller
@@ -226,16 +209,10 @@ class AutoRfmEngine:
         request = self.tracker.select_for_mitigation()
         if request is None:
             if obs is not None and obs.m_empty_selects is not None:
-                if obs.deferred:
-                    obs.n_empty_selects += 1
-                else:
-                    obs.m_empty_selects.inc()
+                obs.n_empty_selects += 1
             return
         if obs is not None and obs.m_selects is not None:
-            if obs.deferred:
-                obs.n_selects += 1
-            else:
-                obs.m_selects.inc()
+            obs.n_selects += 1
 
         if isinstance(self.policy, MigrationMitigation):
             # Row migration: relocate the aggressor instead of refreshing

@@ -35,12 +35,12 @@ class _BankObsHooks:
 
     Attached through the memory controller's hook bundle, increments
     accumulate in plain ints and :meth:`flush` publishes them at the next
-    drain boundary; attached to a bare Observability, emission is eager.
+    drain boundary.
     """
 
     __slots__ = ("m_mitigations", "m_victims", "m_selects",
                  "m_empty_selects", "n_mitigations", "n_victims",
-                 "n_selects", "n_empty_selects", "deferred")
+                 "n_selects", "n_empty_selects")
 
     def __init__(self, obs, flat: int, labels):
         metrics = obs.metrics
@@ -54,10 +54,7 @@ class _BankObsHooks:
         self.n_victims = 0
         self.n_selects = 0
         self.n_empty_selects = 0
-        children = getattr(obs, "children", None)
-        self.deferred = children is not None
-        if children is not None:
-            children.append(self)
+        obs.children.append(self)
 
     def flush(self) -> None:
         """Publish accumulated counters (drain boundary)."""
@@ -112,8 +109,9 @@ class Bank:
         self._obs: Optional[_BankObsHooks] = None
 
     def attach_obs(self, obs, flat: int) -> None:
-        """Publish RFM-mode mitigations into ``repro.obs`` metric series
-        (no-op for banks without a tracker, or when metrics are off)."""
+        """Publish RFM-mode mitigations through the memory controller's
+        observability hook bundle (no-op for banks without a tracker, or
+        when metrics are off)."""
         if obs.metrics is None or self.rfm_tracker is None:
             return
         self._obs = _BankObsHooks(
@@ -223,28 +221,18 @@ class Bank:
         request = self.rfm_tracker.select_for_mitigation()
         if request is None:
             if obs is not None:
-                if obs.deferred:
-                    obs.n_empty_selects += 1
-                else:
-                    obs.m_empty_selects.inc()
+                obs.n_empty_selects += 1
             return
         if obs is not None:
-            if obs.deferred:
-                obs.n_selects += 1
-            else:
-                obs.m_selects.inc()
+            obs.n_selects += 1
         victims = self.rfm_policy.victims(request)
         if not victims:
             return
         self.stats.mitigations += 1
         self.stats.victim_refreshes += len(victims)
         if obs is not None:
-            if obs.deferred:
-                obs.n_mitigations += 1
-                obs.n_victims += len(victims)
-            else:
-                obs.m_mitigations.inc()
-                obs.m_victims.inc(len(victims))
+            obs.n_mitigations += 1
+            obs.n_victims += len(victims)
         if request.level > 1:
             self.stats.recursive_rounds += 1
         for victim in victims:

@@ -132,6 +132,18 @@ class Baseline:
             if remaining > 0 and key[1] in scanned and key[0] in ran
         ]
 
+    def unchecked(
+        self, paths: Iterable[str], rules: Iterable[str]
+    ) -> List[BaselineEntry]:
+        """The entries a run over ``paths`` with ``rules`` did not check:
+        those whose path was not scanned or whose rule did not run."""
+        scanned = {_norm_path(path) for path in paths}
+        ran = set(rules)
+        return [
+            entry for entry in self.entries
+            if _norm_path(entry.path) not in scanned or entry.rule not in ran
+        ]
+
     @classmethod
     def from_findings(
         cls, findings: List[Finding], previous: Optional["Baseline"] = None

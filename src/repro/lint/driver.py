@@ -244,15 +244,18 @@ def run_lint(
         )
     if project:
         all_findings.extend(_project_findings(modules, passes, rule_filter))
+    checked = [
+        lint_pass for lint_pass in _select_passes(passes, None)
+        if project or not isinstance(lint_pass, ProjectLintPass)
+    ]
+    result.checked_paths = [m.path for m in modules]
+    result.checked_rules = [
+        rule.rule_id for rule in selected_rules(checked, rule_filter)
+    ]
     if baseline is not None:
         active = [f for f in all_findings if f.status != SUPPRESSED]
-        checked = [
-            lint_pass for lint_pass in _select_passes(passes, None)
-            if project or not isinstance(lint_pass, ProjectLintPass)
-        ]
-        ran = [rule.rule_id for rule in selected_rules(checked, rule_filter)]
         result.stale_baseline = baseline.apply(
-            active, paths=[m.path for m in modules], rules=ran
+            active, paths=result.checked_paths, rules=result.checked_rules
         )
     all_findings.sort(key=lambda f: f.sort_key())
     result.findings = all_findings

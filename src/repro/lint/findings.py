@@ -79,6 +79,10 @@ class LintResult:
     #: Baseline entries that matched no finding (candidates for removal).
     stale_baseline: list = field(default_factory=list)
     files_scanned: int = 0
+    #: What the run checked: the parsed module paths and the rules that
+    #: ran on them. Baseline entries outside this scope were not checked.
+    checked_paths: list = field(default_factory=list)
+    checked_rules: list = field(default_factory=list)
 
     @property
     def new_findings(self) -> list:

@@ -32,6 +32,7 @@ from repro.mc.busy_table import BankBusyTable
 from repro.mc.request import Request
 from repro.mc.setup import MitigationSetup, build_policy, build_tracker
 from repro.obs import DEPTH_EDGES, LATENCY_EDGES, Observability
+from repro.obs.trace import layout
 from repro.rfm.prac import PracModel, abo_threshold_for, prac_timing
 from repro.rfm.rfm import RfmController
 from repro.sim.cmdlog import (
@@ -50,6 +51,16 @@ from repro.sim.stats import SimStats
 
 __all__ = ["MemoryController"]
 
+# Trace record layouts of the controller's hooks: each appends
+# ``(template, *values)`` with the values in the sorted field-name order
+# listed here (see repro.obs.trace).
+_T_ACT = layout("ACT", "bank", "row", "t")
+_T_ALERT = layout("ALERT", "alerts", "bank", "retry_at", "row", "t")
+_T_REF = layout("REF", "end", "subchannel", "t")
+_T_REF_SAME_BANK = layout("REF", "bank", "end", "subchannel", "t")
+_T_ABO = layout("ABO", "bank", "end", "subchannel", "t")
+_T_RFM = layout("RFM", "bank", "end", "t")
+
 
 class _ObsHooks:
     """Pre-resolved observability hook points for one controller.
@@ -57,13 +68,13 @@ class _ObsHooks:
     Bundled into a single slotted object so the controller's instance dict
     grows by exactly one key (``_obs``) when observability is enabled and
     disabled runs keep their original attribute layout: each hook site pays
-    one ``is None`` load-and-branch, nothing more. ``tracer``/``metrics``
-    mirror :class:`~repro.obs.Observability` so the bank/engine
-    ``attach_obs`` hooks accept either object.
+    one ``is None`` load-and-branch, nothing more. The bank, AutoRFM
+    engine and RFM layer ``attach_obs`` hooks take this bundle and
+    register their own accumulators in ``children``.
 
     Emission is deferred to drain boundaries: hot paths append to plain
     per-bank int accumulators (``acts``/``alerts``/...), buffer raw
-    histogram values, and queue pre-built trace records on the single
+    histogram values, and queue flat int trace-record tuples on the single
     shared ``trace_pending`` list (one list so records from the
     controller, the per-bank AutoRFM engines, and the RFM layer stay in
     exact emission order). :meth:`flush` publishes everything into the
@@ -561,9 +572,7 @@ class MemoryController:
                 if obs.acts is not None:
                     obs.acts[flat] += 1
                 if obs.trace_pending is not None:
-                    obs.trace_pending.append(
-                        {"t": now, "kind": "ACT", "bank": flat, "row": row}
-                    )
+                    obs.trace_pending.append((_T_ACT, flat, row, now))
             if not open_page:
                 self.engine.schedule(
                     now + self._tras, self._auto_precharge_cbs[flat]
@@ -623,11 +632,10 @@ class MemoryController:
                 # One record carries the whole ACT->ALERT->retry link: the
                 # declined row, how many ALERTs this request has eaten, and
                 # when the MC will retry.
-                obs.trace_pending.append({
-                    "t": now, "kind": "ALERT", "bank": flat,
-                    "row": request.row,
-                    "alerts": request.alerts, "retry_at": retry_time,
-                })
+                obs.trace_pending.append((
+                    _T_ALERT, request.alerts, flat, retry_time, request.row,
+                    now,
+                ))
         # The MC precharges the bank so every chip holds the conflicted row
         # closed (footnote 1 of the paper).
         bank.stall_until(now + self._trp)
@@ -695,10 +703,9 @@ class MemoryController:
             if self.queues[flat]:
                 self._wakeup(flat, self.banks[flat].ready_at)
         if obs is not None and obs.trace_pending is not None:
-            obs.trace_pending.append({
-                "t": now, "kind": "REF", "end": now + self.timing.trfc,
-                "subchannel": sc,
-            })
+            obs.trace_pending.append(
+                (_T_REF, now + self.timing.trfc, sc, now)
+            )
         self.stats.refresh_windows += 1
         if self.config.write_drain:
             self.drain_writes(sc)  # REF is a natural drain point
@@ -724,11 +731,10 @@ class MemoryController:
             if obs.refs is not None:
                 obs.refs[flat] += 1
             if obs.trace_pending is not None:
-                obs.trace_pending.append({
-                    "t": now, "kind": "REF",
-                    "end": now + self.timing.trfc_sb,
-                    "bank": flat, "subchannel": sc,
-                })
+                obs.trace_pending.append((
+                    _T_REF_SAME_BANK, flat, now + self.timing.trfc_sb, sc,
+                    now,
+                ))
             obs.flush()
         if self.queues[flat]:
             self._wakeup(flat, self.banks[flat].ready_at)
@@ -764,10 +770,7 @@ class MemoryController:
             if obs.alerts is not None:
                 obs.alerts[flat] += 1
             if obs.trace_pending is not None:
-                obs.trace_pending.append({
-                    "t": now, "kind": "ABO", "end": until,
-                    "bank": flat, "subchannel": sc,
-                })
+                obs.trace_pending.append((_T_ABO, flat, until, sc, now))
 
     # ------------------------------------------------------------------
     # Observability hook points
@@ -778,10 +781,9 @@ class MemoryController:
         if obs.rfm_cmds is not None:
             obs.rfm_cmds[flat] += 1
         if obs.trace_pending is not None:
-            obs.trace_pending.append({
-                "t": free_at - self.timing.trfm, "kind": "RFM",
-                "end": free_at, "bank": flat,
-            })
+            obs.trace_pending.append(
+                (_T_RFM, flat, free_at, free_at - self.timing.trfm)
+            )
 
     def flush_obs(self) -> None:
         """Publish deferred observability accumulations.

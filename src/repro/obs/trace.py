@@ -11,6 +11,19 @@ first, emission order preserved); attaching a ``stream`` additionally
 writes every event through as it is emitted, so arbitrarily long runs can
 stream to disk while the in-memory tail stays small.
 
+Records are flat tuples, not dicts. Each starts with its *template*: the
+record's canonical JSONL line with a ``%d`` for every field value and a
+leading ``%.0s`` that consumes the template itself, so ``record[0] %
+record`` renders the line in one formatting call. :func:`layout` compiles
+one template per (kind, field names) pair; the built-in hooks resolve
+theirs once at import and append ``(template, *values)`` with the values
+in sorted field-name order. Events with a non-int field (:meth:`event` /
+:meth:`span` callers may pass floats and strings) are encoded with
+``json`` when emitted and kept as ``(_JSON_LINE, line)``. :meth:`events`,
+:meth:`dump_state` and :meth:`restore_state` convert to and from dicts at
+the boundary, so JSONL bytes, snapshots and the ring's eviction order are
+the same as for one dict per record.
+
 Determinism contract: timestamps are the integer engine cycles the caller
 passes in — this module never reads the wall clock — so serial and
 parallel runs of the same seed produce byte-identical JSONL.
@@ -20,10 +33,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, IO, List, Optional, Union
+from typing import Any, Deque, Dict, IO, List, Optional, Sequence, Tuple, Union
 from repro.ckpt.contract import checkpointable
 
 Field = Union[int, float, str]
+#: One ring record: ``(template, *values)``; see the module docstring.
+Record = Tuple[Any, ...]
 
 #: Well-known event kinds (callers may emit others; these are the ones the
 #: built-in instrumentation produces and docs/observability.md documents).
@@ -38,14 +53,61 @@ VICTIM_REFRESH = "VICTIM_REFRESH"
 
 
 # One shared encoder: json.dumps with non-default options constructs a
-# fresh JSONEncoder per call, which is the bulk of the encoding cost when
-# a whole timeline is serialised at finalize.
+# fresh JSONEncoder per call.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+#: Template of a record carrying a pre-encoded JSON line.
+_JSON_LINE = "%.0s%s\n"
 
-def encode_event(event: Dict[str, Field]) -> str:
-    """One canonical JSONL line (sorted keys, no whitespace)."""
-    return _ENCODE(event)
+# Memo of layout(), a pure function, both ways: (kind, field names) ->
+# template and template -> (kind, field names). Entries never change.
+_TEMPLATES: Dict[Tuple[str, Tuple[str, ...]], str] = {}
+_LAYOUTS: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+
+
+def layout(kind: str, *fields: str) -> str:
+    """The template of ``kind`` records whose values are the int
+    ``fields``, which must be given in sorted order (the order of the
+    values in the record tuple and of the keys in the JSONL line)."""
+    key = (kind, fields)
+    template = _TEMPLATES.get(key)
+    if template is not None:
+        return template
+    if list(fields) != sorted(set(fields)) or "kind" in fields:
+        raise ValueError(
+            f"layout fields must be sorted, unique and exclude 'kind': "
+            f"{fields!r}"
+        )
+    parts = dict.fromkeys(fields, "%d")
+    parts["kind"] = _ENCODE(kind).replace("%", "%%")
+    body = ",".join(
+        _ENCODE(name).replace("%", "%%") + ":" + parts[name]
+        for name in sorted(parts)
+    )
+    template = "%.0s{" + body + "}\n"
+    _TEMPLATES[key] = template
+    _LAYOUTS[template] = key
+    return template
+
+
+def _record(event: Dict[str, Field]) -> Record:
+    """The ring record of one event dict."""
+    kind = event.get("kind")
+    names = tuple(sorted(name for name in event if name != "kind"))
+    if type(kind) is str and all(type(event[n]) is int for n in names):
+        return (layout(kind, *names),) + tuple(event[n] for n in names)
+    return (_JSON_LINE, _ENCODE(event))
+
+
+def _event(record: Record) -> Dict[str, Field]:
+    """The event dict of one ring record (a fresh dict)."""
+    template = record[0]
+    if template == _JSON_LINE:
+        return json.loads(record[1])
+    kind, names = _LAYOUTS[template]
+    event: Dict[str, Field] = dict(zip(names, record[1:]))
+    event["kind"] = kind
+    return event
 
 
 @checkpointable(
@@ -61,7 +123,7 @@ class SpanTracer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stream = stream
-        self._buffer: Deque[Dict[str, Field]] = deque(maxlen=capacity)
+        self._buffer: Deque[Record] = deque(maxlen=capacity)
         #: Events emitted over the tracer's lifetime (kept + evicted).
         self.emitted = 0
 
@@ -72,10 +134,7 @@ class SpanTracer:
         """Record a point event at engine cycle ``cycle``."""
         record: Dict[str, Field] = {"t": cycle, "kind": kind}
         record.update(fields)
-        self.emitted += 1
-        self._buffer.append(record)
-        if self.stream is not None:
-            self.stream.write(encode_event(record) + "\n")
+        self.emit_raw((_record(record),))
 
     def span(self, start: int, end: int, kind: str, **fields: Field) -> None:
         """Record an interval ``[start, end)`` in engine cycles."""
@@ -83,22 +142,20 @@ class SpanTracer:
             raise ValueError(f"span ends ({end}) before it starts ({start})")
         self.event(start, kind, end=end, **fields)
 
-    def emit_raw(self, records: List[Dict[str, Field]]) -> None:
-        """Bulk-append pre-built records, in order (deferred emission).
+    def emit_raw(self, records: Sequence[Record]) -> None:
+        """Bulk-append pre-built record tuples, in order (deferred emission).
 
-        The drain-boundary aggregation path builds record dicts on the hot
-        path, queues them, and hands the whole batch over here at the next
-        boundary; the result — ring contents, ``emitted`` total, stream
-        bytes — is identical to calling :meth:`event` once per record at
-        the moment each was queued. The tracer takes ownership of the
-        record dicts (callers must not mutate them afterwards).
+        The drain-boundary aggregation path appends ``(template, *values)``
+        tuples (templates from :func:`layout`) on the hot path, queues
+        them, and hands the whole batch over here at the next boundary;
+        the result — ring contents, ``emitted`` total, stream bytes — is
+        identical to calling :meth:`event` once per record at the moment
+        each was queued.
         """
         self.emitted += len(records)
         self._buffer.extend(records)
-        stream = self.stream
-        if stream is not None:
-            for record in records:
-                stream.write(encode_event(record) + "\n")
+        if self.stream is not None:
+            self.stream.write("".join([r[0] % r for r in records]))
 
     # ------------------------------------------------------------------
     # Reading
@@ -109,14 +166,12 @@ class SpanTracer:
         return self.emitted - len(self._buffer)
 
     def events(self) -> List[Dict[str, Field]]:
-        """Retained events, in emission order (copies of the records)."""
-        return [dict(e) for e in self._buffer]
+        """Retained events, in emission order (fresh dicts)."""
+        return [_event(r) for r in self._buffer]
 
     def to_jsonl(self) -> str:
         """Retained events as JSONL (one canonical line per event)."""
-        if not self._buffer:
-            return ""
-        return "\n".join(map(_ENCODE, self._buffer)) + "\n"
+        return "".join([r[0] % r for r in self._buffer])
 
     def write(self, path: str) -> int:
         """Write the retained timeline to ``path``; returns event count."""
@@ -140,7 +195,7 @@ class SpanTracer:
         the attached ``stream``, if any, is left untouched)."""
         self.emitted = int(state["emitted"])
         self._buffer.clear()
-        self._buffer.extend(dict(e) for e in state["events"])
+        self._buffer.extend(_record(e) for e in state["events"])
 
     def __len__(self) -> int:
         return len(self._buffer)

@@ -18,12 +18,11 @@ class _RfmObsHooks:
 
     Attached through the memory controller's hook bundle, increments and
     the running RAA peak accumulate in plain ints and :meth:`flush`
-    publishes them at the next drain boundary; attached to a bare
-    Observability, emission is eager.
+    publishes them at the next drain boundary.
     """
 
     __slots__ = ("m_rfms", "m_ref_decrements", "m_raa_peak",
-                 "n_rfms", "n_ref_decrements", "raa_peak", "deferred")
+                 "n_rfms", "n_ref_decrements", "raa_peak")
 
     def __init__(self, obs):
         metrics = obs.metrics
@@ -33,10 +32,7 @@ class _RfmObsHooks:
         self.n_rfms = 0
         self.n_ref_decrements = 0
         self.raa_peak = 0
-        children = getattr(obs, "children", None)
-        self.deferred = children is not None
-        if children is not None:
-            children.append(self)
+        obs.children.append(self)
 
     def flush(self) -> None:
         """Publish accumulated RAA bookkeeping (drain boundary)."""
@@ -88,8 +84,8 @@ class RfmController:
         self._obs: Optional[_RfmObsHooks] = None
 
     def attach_obs(self, obs) -> None:
-        """Publish RAA bookkeeping into an :class:`repro.obs.Observability`
-        metrics registry (no-op when metrics are off)."""
+        """Publish RAA bookkeeping through the memory controller's
+        observability hook bundle (no-op when metrics are off)."""
         if obs.metrics is None:
             return
         self._obs = _RfmObsHooks(obs)
@@ -99,11 +95,8 @@ class RfmController:
         self.raa[bank] += 1
         obs = self._obs
         if obs is not None:
-            if obs.deferred:
-                if self.raa[bank] > obs.raa_peak:
-                    obs.raa_peak = self.raa[bank]
-            elif self.raa[bank] > obs.m_raa_peak.value:
-                obs.m_raa_peak.set(self.raa[bank])
+            if self.raa[bank] > obs.raa_peak:
+                obs.raa_peak = self.raa[bank]
 
     def rfm_due(self, bank: int) -> bool:
         """RAAIMT reached: an RFM should be issued when convenient."""
@@ -119,17 +112,11 @@ class RfmController:
         self.rfms_issued += 1
         obs = self._obs
         if obs is not None:
-            if obs.deferred:
-                obs.n_rfms += 1
-            else:
-                obs.m_rfms.inc()
+            obs.n_rfms += 1
 
     def on_refresh(self, bank: int) -> None:
         """Account a REF: RAA drops by the refresh decrement."""
         self.raa[bank] = max(0, self.raa[bank] - self.ref_decrement)
         obs = self._obs
         if obs is not None:
-            if obs.deferred:
-                obs.n_ref_decrements += 1
-            else:
-                obs.m_ref_decrements.inc()
+            obs.n_ref_decrements += 1

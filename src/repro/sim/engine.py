@@ -15,6 +15,7 @@ the disabled path costs nothing per event.
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from typing import Callable, List, Optional, Tuple
 
 from repro.ckpt.contract import checkpointable
@@ -113,25 +114,34 @@ class Engine:
         around the whole drain, feeding the profiler's events/sec. Striding
         over the persistent ``_obs_processed`` counter keeps the sample
         sequence identical whether a run drains in one go or in many
-        checkpoint segments.
+        checkpoint segments. Between samples the loop body is the plain
+        drain's: no per-event counter or modulo test.
         """
         obs = self.obs
         metrics = obs.metrics
         events_counter, depth_hist, cycles_gauge = self._resolve_obs_handles()
         heap = self._heap
         pop = heapq.heappop
-        processed = 0
+        first = self._seq - len(heap)
         ordinal = self._obs_processed
         bound = NO_BOUND if until is None else until
         with obs.profiler.phase("engine"):
+            # Pop in runs that end at the next lifetime ordinal divisible
+            # by HEAP_SAMPLE_STRIDE, with _drain_plain's loop body; a run
+            # counts its events as the growth of ``_seq - len(heap)``.
             while heap and heap[0][0] <= bound:
-                time, _, callback = pop(heap)
-                self.now = time
-                callback(time)
-                processed += 1
-                ordinal += 1
+                done = self._seq - len(heap)
+                for _ in repeat(None, HEAP_SAMPLE_STRIDE
+                                - ordinal % HEAP_SAMPLE_STRIDE):
+                    if not heap or heap[0][0] > bound:
+                        break
+                    time, _, callback = pop(heap)
+                    self.now = time
+                    callback(time)
+                ordinal += self._seq - len(heap) - done
                 if depth_hist is not None and ordinal % HEAP_SAMPLE_STRIDE == 0:
                     depth_hist.observe(len(heap))
+        processed = self._seq - len(heap) - first
         self._obs_processed = ordinal
         obs.profiler.count("events", processed)
         if metrics is not None:

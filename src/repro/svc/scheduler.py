@@ -153,6 +153,8 @@ class SweepService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._wake: Optional[asyncio.Event] = None
+        #: Open client connections: handler task -> its stream writer.
+        self._clients: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self._stopping = False
         self._ready = threading.Event()
 
@@ -220,6 +222,7 @@ class SweepService:
             await self._scheduler_loop()
         finally:
             self._server.close()
+            await self._close_clients()
             await self._server.wait_closed()
             for slot in list(self._slots):
                 self._release(slot).kill()
@@ -233,13 +236,26 @@ class SweepService:
         if self._stopping:
             return
         self._stopping = True
-        # Unblock every waiting `result` call; their records keep their
-        # current state so clients can see what was left unfinished.
+        self._release_waiters()
+        if self._wake is not None:
+            self._wake.set()
+
+    def _release_waiters(self) -> None:
+        """Unblock every waiting `result` call; their records keep their
+        current state so clients can see what was left unfinished."""
         for record in self.queue.records.values():
             if record.event is not None:
                 record.event.set()
-        if self._wake is not None:
-            self._wake.set()
+
+    async def _close_clients(self) -> None:
+        """Close every open client connection and wait for its handler to
+        return. A handler still pending when ``asyncio.run`` finishes is
+        cancelled, which asyncio logs as an ERROR with a traceback."""
+        # Records submitted after shutdown began have unset events too.
+        self._release_waiters()
+        for writer in self._clients.values():
+            writer.close()
+        await asyncio.gather(*self._clients)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -308,13 +324,23 @@ class SweepService:
         self._slots[slot] = handle
         # The sentinel turns readable when the worker exits: wake the
         # scheduler then, not on the next poll tick.
-        assert self._loop is not None and self._wake is not None
-        self._loop.add_reader(handle.sentinel, self._wake.set)
+        assert self._loop is not None
+        self._loop.add_reader(handle.sentinel, self._worker_exited, handle)
         record.attempts += 1
         record.worker_slot = slot
         record.worker_pid = handle.pid
         record.transition(RUNNING)
         self._inflight[record.key] = record.job_id
+
+    def _worker_exited(self, handle: WorkerHandle) -> None:
+        """Sentinel callback: the worker is exiting. Its sentinel stays
+        readable, and ``is_alive()`` can still say alive while the process
+        tears down, so stop watching it, wait the exit out, and wake the
+        scheduler once to harvest it."""
+        assert self._loop is not None and self._wake is not None
+        self._loop.remove_reader(handle.sentinel)
+        handle.reap()
+        self._wake.set()
 
     def _release(self, slot: int) -> WorkerHandle:
         """Free ``slot`` and stop watching its worker's exit."""
@@ -429,6 +455,9 @@ class SweepService:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._clients[task] = writer
         try:
             while not self._stopping:
                 try:
@@ -444,6 +473,7 @@ class SweepService:
                 except ConnectionError:
                     break
         finally:
+            del self._clients[task]
             writer.close()
 
     async def _serve_one(self, line: bytes) -> dict:

@@ -524,6 +524,28 @@ def test_cli_unknown_rule_exits_2():
     assert run_cli("--rule", "RNG001", "src/repro/jobs.py").returncode == 0
 
 
+def test_rule_filtered_update_baseline_keeps_unchecked_entries(tmp_path):
+    """--update-baseline rewrites only what the run checked: a --rule
+    CKPT001 run keeps every other rule's entry, justification included,
+    and the rewritten file holds the committed entries."""
+    committed = os.path.join(REPO_ROOT, "lint-baseline.json")
+    copy = tmp_path / "baseline.json"
+    with open(committed, encoding="utf-8") as handle:
+        original = handle.read()
+    copy.write_text(original)
+    proc = run_cli("--update-baseline", "--rule", "CKPT001",
+                   "--baseline", str(copy), "src/repro")
+    assert proc.returncode == 0, proc.stderr
+
+    def entries(text):
+        return sorted(json.loads(text)["entries"],
+                      key=lambda e: (e["path"], e["rule"], e["context"]))
+
+    assert entries(copy.read_text()) == entries(original)
+    rules = {e["rule"] for e in entries(original)}
+    assert rules - {"CKPT001"}, "the copy must hold other rules' entries"
+
+
 def test_cli_list_rules_names_every_rule():
     """--list-rules prints the full catalog."""
     proc = run_cli("--list-rules")

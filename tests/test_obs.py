@@ -23,6 +23,7 @@ from repro.obs import (
     SpanTracer,
     merge_histograms,
 )
+from repro.obs.trace import layout
 
 EDGES = (1, 2, 4, 8, 16, 32)
 
@@ -212,6 +213,41 @@ class TestTracerRingBuffer:
         assert len(streamed) == 5  # the stream got everything...
         assert len(tracer.events()) == 2  # ...while memory stayed bounded
         assert [json.loads(s)["seq"] for s in streamed] == list(range(5))
+
+    def test_tuple_and_json_records_render_like_json(self):
+        """Int-only events take a precompiled template, the rest the json
+        encoder; both render the canonical line, and events(), dump_state
+        and restore_state round-trip them."""
+        tracer = SpanTracer(capacity=16)
+        tracer.event(1, "ACT", bank=2, row=3)
+        tracer.event(2, "NOTE", label="a%d\"b", ratio=0.5)
+        tracer.event(3, "FLAG", on=True, n=-7)
+        tracer.span(4, 9, "100%", big=1 << 70)
+        expected = [
+            {"t": 1, "kind": "ACT", "bank": 2, "row": 3},
+            {"t": 2, "kind": "NOTE", "label": 'a%d"b', "ratio": 0.5},
+            {"t": 3, "kind": "FLAG", "on": True, "n": -7},
+            {"t": 4, "kind": "100%", "end": 9, "big": 1 << 70},
+        ]
+        assert tracer.events() == expected
+        assert tracer.to_jsonl() == "".join(
+            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+            for e in expected
+        )
+        restored = SpanTracer(capacity=16)
+        restored.restore_state(
+            json.loads(json.dumps(tracer.dump_state()))
+        )
+        assert restored.to_jsonl() == tracer.to_jsonl()
+        assert restored.emitted == tracer.emitted == 4
+
+    def test_layout_fields_must_be_sorted(self):
+        assert layout("ACT", "bank", "row", "t") == layout(
+            "ACT", "bank", "row", "t"
+        )
+        for fields in (("row", "bank"), ("bank", "bank"), ("kind", "t")):
+            with pytest.raises(ValueError, match="sorted"):
+                layout("ACT", *fields)
 
     def test_backwards_span_rejected(self):
         tracer = SpanTracer()

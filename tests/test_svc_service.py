@@ -239,6 +239,68 @@ class TestServiceBatch:
         assert not thread.is_alive()
         assert elapsed < poll_interval / 2
 
+    def test_one_worker_exit_costs_one_scheduler_pass(self, service_dir):
+        """A worker's sentinel stays readable while the process tears
+        down; the scheduler must not spin on it. With a 5 s poll interval
+        every pass comes from a wake-up (a submit, a spawn, an exit), so
+        a short cold batch takes a handful of ``_reap_workers`` passes
+        per job."""
+        service = SweepService(
+            service_dir + "/p.sock",
+            workers=2,
+            requests=REQUESTS,
+            cache_dir=service_dir + "/pcache",
+            poll_interval=5.0,
+        )
+        passes = [0]
+        reap = service._reap_workers
+
+        def counted_reap():
+            passes[0] += 1
+            reap()
+
+        service._reap_workers = counted_reap
+        thread = threading.Thread(target=service.run, daemon=True)
+        thread.start()
+        assert service.wait_ready(10)
+        jobs = [SecurityJob(acts=1000, window=4, seeds=2, rows=(row,))
+                for row in (60_000, 70_000, 80_000, 90_000)]
+        try:
+            with SweepClient(service.socket_path) as client:
+                for job_id in client.submit(jobs):
+                    client.result(job_id, wait=True, timeout=60)
+        finally:
+            service.stop()
+            thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert passes[0] <= 4 * len(jobs), f"{passes[0]} passes"
+
+    def test_stop_with_an_idle_client_connected_logs_no_error(
+        self, service_dir, caplog
+    ):
+        """Stopping the daemon closes open client connections and lets
+        their handlers return, so asyncio.run has no handler task left to
+        cancel (which Python 3.11 logs as an ERROR traceback)."""
+        service = SweepService(
+            service_dir + "/i.sock",
+            workers=1,
+            requests=REQUESTS,
+            cache_dir=service_dir + "/icache",
+            poll_interval=0.02,
+        )
+        thread = threading.Thread(target=service.run, daemon=True)
+        thread.start()
+        assert service.wait_ready(10)
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            with SweepClient(service.socket_path) as client:
+                client.ping()
+                service.stop()
+                thread.join(timeout=15)
+                assert not thread.is_alive()
+        errors = [r for r in caplog.records
+                  if r.name == "asyncio" and r.levelname == "ERROR"]
+        assert errors == [], [r.getMessage() for r in errors]
+
     def test_unknown_job_id_is_a_service_error(self, daemon):
         with SweepClient(daemon.socket_path) as client:
             with pytest.raises(ServiceError, match="unknown job id"):
